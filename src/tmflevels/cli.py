@@ -13,7 +13,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import charts, duality, equivariant, hfpss, splitting
 from .cohomology import UNKNOWN, load_s1_table
@@ -119,13 +118,6 @@ def _verdict_row(v) -> dict:
     return {"n": v.n, "l": v.shift_l}
 
 
-def _scan_chunk(job) -> list:
-    lo, hi, s1_path = job
-    table = load_s1_table(s1_path)
-    rows = (duality.verdict(n, table) for n in range(lo, hi + 1))
-    return [v for v in rows if v.self_dual]
-
-
 def _cmd_duality(args, out) -> int:
     table = _s1_table(args)
     if args.n is not None:
@@ -145,18 +137,7 @@ def _cmd_duality(args, out) -> int:
     if args.scan is None:
         raise DomainError("duality needs --n or --scan")
     _check_level(args.scan)
-    if args.jobs > 1:
-        s1_path = getattr(args, "s1_file", None) or os.environ.get(S1_ENV) or None
-        step = max(1, args.scan // args.jobs)
-        jobs = [
-            (lo, min(lo + step - 1, args.scan), s1_path)
-            for lo in range(1, args.scan + 1, step)
-        ]
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            rows = [v for chunk in ex.map(_scan_chunk, jobs) for v in chunk]
-        rows.sort(key=lambda v: v.n)
-    else:
-        rows = duality.duality_scan(args.scan, table)
+    rows = duality.duality_scan(args.scan, table)
     if args.format == "table":
         lines = ["n   l"] + [f"{v.n:<4}{v.shift_l}" for v in rows]
         out.write("\n".join(lines) + "\n")
@@ -268,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--scan", type=int)
     p.add_argument("--format", choices=["json", "table"], default="json")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility and ignored")
     p.add_argument("--s1-file")
     p.set_defaults(func=_cmd_duality)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .cohomology import UNKNOWN, S1Table, s1
 from .levels import curve_invariants, dsum_f, dsum_g, factorize, is_prime
@@ -59,8 +60,14 @@ def twist(n: int, table: S1Table | None = None):
 
 
 def degreecomp_solutions(limit: int) -> list[int]:
-    """All n <= limit with f(n) = 12 g(n)."""
-    return [n for n in range(1, limit + 1) if dsum_f(n) == 12 * dsum_g(n)]
+    """All n <= limit with f(n) = 12 g(n).
+
+    Such n have g(n)/f(n) = 1/12, so they are among the self-dual candidates.
+    """
+    return [
+        n for n in self_dual_candidates()
+        if n <= limit and dsum_f(n) == 12 * dsum_g(n)
+    ]
 
 
 def ratio_table(p: int, k: int) -> Fraction:
@@ -71,6 +78,56 @@ def ratio_table(p: int, k: int) -> Fraction:
         raise ValueError("k must be >= 1")
     q = p**k
     return Fraction(dsum_g(q), dsum_f(q))
+
+
+# Self-dual levels have g(n)/f(n) >= 1/12; see self_dual_candidates.
+CANDIDATE_RATIO = Fraction(1, 12)
+
+
+def _next_prime(p: int) -> int:
+    p += 1
+    while not is_prime(p):
+        p += 1
+    return p
+
+
+@lru_cache(maxsize=1)
+def self_dual_candidates() -> tuple[int, ...]:
+    """Every level n >= 1 with g(n)/f(n) >= 1/12, in increasing order.
+
+    Only these levels can be self-dual, with f = dsum_f and g = dsum_g.
+    Since genus = 1 + f/24 - g/4, genus <= 1 means f <= 6g; genus >= 2
+    needs the twist i = 1, i.e. deg(omega) = f/24 = 2*genus - 2, which is
+    f = 12g.  The levels n <= 4 have ratios 1, 2/3, 1/2 and 5/12.
+
+    The list is finite and the search below finds all of it.  g/f is
+    multiplicative, with prime-power factor
+
+        r(p, k) = g(p^k)/f(p^k) = (2p + (k-1)(p-1)) / (p^k (p+1)).
+
+    Going from k to k+1 adds p-1 to the numerator and multiplies the
+    denominator by p; as the numerator is at least 2p, r(p, k+1) < r(p, k).
+    So every factor is at most r(p, 1) = 2/(p+1) < 1, which decreases in p
+    and is below 1/12 for p > 23.  Dropping prime-power factors from n
+    therefore never lowers g/f: every candidate is reached by a chain of
+    candidates, adding prime powers in increasing order of the prime.  The
+    depth-first search grows each candidate by p^k for primes p above its
+    largest prime factor, stops raising k once the ratio falls below 1/12,
+    and stops raising p once even k = 1 does.
+    """
+    found = []
+
+    def grow(n: int, ratio: Fraction, p: int):
+        found.append(n)
+        while ratio * ratio_table(p, 1) >= CANDIDATE_RATIO:
+            k = 1
+            while (r := ratio * ratio_table(p, k)) >= CANDIDATE_RATIO:
+                grow(n * p**k, r, _next_prime(p))
+                k += 1
+            p = _next_prime(p)
+
+    grow(1, Fraction(1), 2)
+    return tuple(sorted(found))
 
 
 @dataclass(frozen=True)
@@ -114,9 +171,15 @@ def verdict(n: int, table: S1Table | None = None):
 
 
 def duality_scan(limit: int, table: S1Table | None = None) -> list[DualityVerdict]:
-    """All self-dual levels up to the limit, in increasing order."""
+    """All self-dual levels up to the limit, in increasing order.
+
+    Only the levels of ``self_dual_candidates()`` can be self-dual, so only
+    those up to the limit get a verdict; any limit costs at most 35 verdicts.
+    """
     rows = []
-    for n in range(1, limit + 1):
+    for n in self_dual_candidates():
+        if n > limit:
+            break
         v = verdict(n, table)
         if v is UNKNOWN:
             raise ValueError(f"verdict for n={n} needs s1 data")

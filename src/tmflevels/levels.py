@@ -22,7 +22,13 @@ class Kind(Enum):
     INTERMEDIATE = "Intermediate"
 
 
-@lru_cache(maxsize=None)
+# Entries kept by each of the factorize, dsum_f and dsum_g caches.  Bounded so
+# that a long-lived process does not grow without limit; the largest working
+# set the perfbench workloads reach is about 2,300 levels (cli-mix).
+CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization by trial division, as ((p, e), ...)."""
     if n < 1:
@@ -67,13 +73,13 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def dsum_f(n: int) -> int:
     """f(n) = sum over d|n of d*phi(d)*phi(n/d); multiplicative, f(n) = d_n."""
     return sum(d * euler_phi(d) * euler_phi(n // d) for d in divisors(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def dsum_g(n: int) -> int:
     """g(n) = sum over d|n of phi(d)*phi(n/d); multiplicative; equals 2*eps_infty."""
     return sum(euler_phi(d) * euler_phi(n // d) for d in divisors(n))

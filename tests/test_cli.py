@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tmflevels
 from tmflevels.cli import main
 
 
@@ -152,6 +157,21 @@ def test_duality_scan_jobs_deterministic():
     _, seq = run(["duality", "--scan", "60"])
     _, par = run(["duality", "--scan", "60", "--jobs", "2"])
     assert seq == par
+
+
+def test_cli_import_loads_no_process_pool():
+    # The scan runs in-process; importing the CLI must not pay for a pool.
+    probe = (
+        "import sys, tmflevels.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    src = str(Path(tmflevels.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_hfpss_preset_json():

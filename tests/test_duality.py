@@ -7,6 +7,7 @@ import pytest
 from tmflevels.charts import anderson_symmetry_check
 from tmflevels.cohomology import UNKNOWN, load_s1_table
 from tmflevels.duality import (
+    _DEGREE_EQUALITY_SET,
     HOM_DUAL_COMPACTIFIED,
     HOM_DUAL_PERIODIC,
     U4_PERIOD,
@@ -16,9 +17,11 @@ from tmflevels.duality import (
     hom_dual_shift,
     ratio_table,
     rho_string,
+    self_dual_candidates,
     twist,
     verdict,
 )
+from tmflevels.levels import dsum_f, dsum_g, is_prime
 
 DUALITY_TABLE = [
     (1, 21), (2, 13), (3, 9), (4, 7), (5, 5), (6, 5), (7, 3), (8, 3),
@@ -74,6 +77,32 @@ def test_degreecomp_solutions():
 
 def test_degree_equality_via_ratio_products():
     assert degree_equality_via_ratios(144) == [23, 32, 33, 35, 40, 42]
+    assert degree_equality_via_ratios(2000) == degreecomp_solutions(2000)
+
+
+def test_degree_equality_set_is_complete():
+    # The candidates hold every n with g/f >= 1/12, so no level beyond 42 has f = 12 g.
+    solutions = {n for n in self_dual_candidates() if dsum_f(n) == 12 * dsum_g(n)}
+    assert _DEGREE_EQUALITY_SET == solutions
+
+
+def test_self_dual_candidates_match_brute_force():
+    brute = [n for n in range(1, 60001) if 12 * dsum_g(n) >= dsum_f(n)]
+    assert list(self_dual_candidates()) == brute
+    assert len(brute) == 35 and brute[-1] == 42
+
+
+def test_ratio_table_closed_form_and_monotone():
+    # The facts that make the candidate search complete.
+    primes = [p for p in range(2, 51) if is_prime(p)]
+    for p in primes:
+        ratios = [ratio_table(p, k) for k in range(1, 9)]
+        assert ratios == [
+            Fraction(2 * p + (k - 1) * (p - 1), p**k * (p + 1)) for k in range(1, 9)
+        ], p
+        assert all(a > b for a, b in zip(ratios, ratios[1:])), p
+    firsts = [ratio_table(p, 1) for p in primes]
+    assert all(a > b for a, b in zip(firsts, firsts[1:]))
 
 
 def test_ratio_table_paper_values():
@@ -92,6 +121,30 @@ def test_ratio_table_validation():
 def test_verdict_scan_matches_table():
     rows = duality_scan(200)
     assert [(v.n, v.shift_l) for v in rows] == DUALITY_TABLE
+
+
+def brute_force_scan(limit, table=None):
+    rows = []
+    for n in range(1, limit + 1):
+        v = verdict(n, table)
+        if v is UNKNOWN:
+            raise ValueError(f"verdict for n={n} needs s1 data")
+        if v.self_dual:
+            rows.append(v)
+    return rows
+
+
+@pytest.mark.parametrize("limit", [1, 4, 22, 23, 42, 43, 2000])
+@pytest.mark.parametrize("user_s1", [False, True])
+def test_duality_scan_matches_per_level_verdicts(limit, user_s1, tmp_path):
+    table = None
+    if user_s1:
+        f = tmp_path / "s1.csv"
+        f.write_text("n,s1\n32,1\n", encoding="utf-8")
+        table = load_s1_table(f)
+    rows = duality_scan(limit, table)
+    assert rows == brute_force_scan(limit, table)
+    assert (32 in [v.n for v in rows]) == (user_s1 and limit >= 32)
 
 
 def test_verdict_c2_shifts():
