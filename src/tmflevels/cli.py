@@ -179,6 +179,8 @@ def _cmd_equivariant(args, out) -> int:
         raise DomainError(str(exc))
     if G.order > equivariant.MAX_ORDER:
         raise DomainError(f"group order {G.order} exceeds the bound {equivariant.MAX_ORDER}")
+    if args.prime is not None and G.rank > 1:
+        raise DomainError("--prime splitting applies to cyclic groups only")
     payload = {
         "version": VERSION,
         "group": list(G.factors),
@@ -188,8 +190,6 @@ def _cmd_equivariant(args, out) -> int:
         ],
     }
     if args.prime is not None:
-        if G.rank > 1:
-            raise DomainError("--prime splitting applies to cyclic groups only")
         try:
             split = equivariant.cyclic_full_split(G.order, args.prime, _s1_table(args))
         except ValueError as exc:

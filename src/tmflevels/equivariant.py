@@ -1,9 +1,13 @@
 """Finite-abelian bookkeeping for fixed points of equivariant TMF.
 
-Enumerates subgroups K of a finite abelian G, keeps the quotients G/K that
-embed in (Z/|G|)^2 (i.e. need at most two generators), and labels the
-resulting moduli components.  For cyclic G the per-divisor splitting into
-shift polynomials is assembled from the splitting module.
+The fixed points for a finite abelian G split into one moduli component per
+subgroup K whose quotient G/K needs at most two generators (embeds in
+(Z/|G|)^2).  `components` counts these subgroups per quotient type with
+Birkhoff's formula, prime by prime, and never lists a subgroup.  The
+element-set enumeration `subgroups` with `quotient_invariant_factors` is kept
+as the independent oracle the tests compare it against.  For cyclic G the
+per-divisor splitting into shift polynomials is assembled from the splitting
+module.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ class FiniteAbelian:
             if a % b != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
 
-    @classmethod
-    def from_orders(cls, orders) -> "FiniteAbelian":
-        """Normalize an arbitrary list of cyclic orders to invariant factors."""
+    @staticmethod
+    def _primary_types(orders) -> dict[int, list[int]]:
+        """p -> exponents of the p-primary cyclic factors, largest first."""
         primary: dict[int, list[int]] = {}
         for o in orders:
             if o < 1:
@@ -44,11 +48,22 @@ class FiniteAbelian:
                 primary.setdefault(p, []).append(e)
         for exps in primary.values():
             exps.sort(reverse=True)
+        return primary
+
+    @classmethod
+    def from_orders(cls, orders) -> "FiniteAbelian":
+        """Normalize an arbitrary list of cyclic orders to invariant factors."""
+        primary = cls._primary_types(orders)
         rank = max((len(v) for v in primary.values()), default=0)
         factors = []
         for i in range(rank):
             factors.append(prod(p ** exps[i] for p, exps in primary.items() if i < len(exps)))
         return cls(tuple(factors))
+
+    @property
+    def primary_types(self) -> dict[int, list[int]]:
+        """The type (a partition) of the Sylow p-subgroup, for each p | |G|."""
+        return self._primary_types(self.factors)
 
     @property
     def order(self) -> int:
@@ -169,16 +184,80 @@ def _label(quotient: tuple[int, ...]) -> str:
     return f"M^({quotient[0]},{quotient[1]})"
 
 
+def _conjugate(parts, length: int) -> list[int]:
+    """[parts'_1, ..., parts'_length]: parts'_i = #{j : parts_j >= i}."""
+    return [sum(1 for x in parts if x > i) for i in range(length)]
+
+
+def _gaussian_binomial(n: int, k: int, p: int) -> int:
+    """[n choose k]_p, the number of k-dimensional subspaces of F_p^n."""
+    num = den = 1
+    for j in range(k):
+        num *= p ** (n - j) - 1
+        den *= p ** (j + 1) - 1
+    return num // den
+
+
+def birkhoff_count(lam, mu, p: int) -> int:
+    """Number of subgroups of type mu in the abelian p-group of type lam.
+
+    Partitions are exponent lists, largest first (trailing zeros allowed),
+    with mu contained in lam.  Birkhoff's formula (Birkhoff 1935; Butler,
+    Mem. AMS 539, 1994; Macdonald, Symmetric Functions and Hall Polynomials,
+    ch. II), with ' the conjugate partition:
+
+        prod_i p^{mu'_{i+1} (lam'_i - mu'_i)}
+               [lam'_i - mu'_{i+1} choose mu'_i - mu'_{i+1}]_p
+    """
+    length = max(lam, default=0)
+    lc = _conjugate(lam, length)
+    mc = _conjugate(mu, length + 1)
+    count = 1
+    for i in range(length):
+        count *= p ** (mc[i + 1] * (lc[i] - mc[i])) * _gaussian_binomial(
+            lc[i] - mc[i + 1], mc[i] - mc[i + 1], p
+        )
+    return count
+
+
 def components(G: FiniteAbelian) -> list[Component]:
     """Moduli components of Hom(G, E): one per subgroup K with G/K 2-generated,
-    aggregated by quotient type."""
-    counts: dict[tuple[int, ...], int] = {}
-    for K in subgroups(G):
-        q = quotient_invariant_factors(G, K)
-        if len(q) > 2:
-            continue
-        counts[q] = counts.get(q, 0) + 1
-    return [Component(q, _label(q), c) for q, c in sorted(counts.items())]
+    aggregated by quotient type and sorted by quotient.
+
+    Counted, not enumerated.  Three facts make this work:
+
+    * Duality: G is isomorphic to its character group, and K <-> the
+      annihilator of K is an inclusion-reversing bijection on subgroups with
+      G/K isomorphic to the annihilator.  So the number of K with G/K of
+      type nu equals the number of subgroups of G of type nu.
+    * Primes: a subgroup is the product of its Sylow subgroups, so that number
+      is the product over p of the counts in the p-primary parts.
+    * p-groups: in a p-group of type lam, `birkhoff_count(lam, mu, p)`
+      counts the subgroups of type mu.
+
+    A quotient needs at most two generators iff every p-primary type mu has
+    at most two parts.  Each choice of such a mu_p <= lam_p per prime gives the
+    quotient (prod_p p^{mu_p,1}, prod_p p^{mu_p,2}) with 1s dropped, and its
+    multiplicity is the product of the Birkhoff counts.  Distinct choices give
+    distinct quotients.
+    """
+    if G.order > MAX_ORDER:
+        raise ValueError(f"group order {G.order} exceeds the bound {MAX_ORDER}")
+    counts: dict[tuple[int, int], int] = {(1, 1): 1}
+    for p, lam in G.primary_types.items():
+        second = lam[1] if len(lam) > 1 else 0
+        local = [
+            (p**a, p**b, birkhoff_count(lam, (a, b), p))
+            for a in range(lam[0] + 1)
+            for b in range(min(a, second) + 1)
+        ]
+        counts = {
+            (q1 * f1, q2 * f2): m * c
+            for (q1, q2), m in counts.items()
+            for f1, f2, c in local
+        }
+    quotients = {tuple(f for f in q if f > 1): m for q, m in counts.items()}
+    return [Component(q, _label(q), m) for q, m in sorted(quotients.items())]
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,7 @@ def curve_invariants(n: int) -> CurveInvariants:
         return CurveInvariants(n, d, None, None, None, False, stacky_data(n))
     deg_omega = Fraction(d, 24)
     cusps = Fraction(dsum_g(n), 2)
-    genus = 1 + deg_omega - cusps / 2
+    genus = 1 + deg_omega - Fraction(dsum_g(n), 4)
     if deg_omega.denominator != 1 or cusps.denominator != 1 or genus.denominator != 1:
         raise ArithmeticError(f"fractional curve invariant at n={n}")
     if genus < 0:

@@ -1,10 +1,12 @@
 """Command line behavior: formats, determinism, exactness, exit codes."""
 
+import ast
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -227,9 +229,32 @@ def test_equivariant_with_prime():
     ]
 
 
-def test_equivariant_prime_noncyclic(capsys):
-    code, _ = run(["equivariant", "--group", "2,2", "--prime", "3"])
-    assert code == 1
+def test_equivariant_prime_noncyclic(capsys, monkeypatch):
+    # refused before any component is counted
+    def fail(G):
+        raise AssertionError("components called for a refused request")
+
+    monkeypatch.setattr(tmflevels.equivariant, "components", fail)
+    code, text = run(["equivariant", "--group", "2,2", "--prime", "3"])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == "error: --prime splitting applies to cyclic groups only\n"
+
+
+def test_equivariant_order_bound(capsys):
+    code, text = run(["equivariant", "--group", "10007"])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == "error: group order 10007 exceeds the bound 10000\n"
+
+
+@pytest.mark.parametrize("group", ["10,10,10,10", "2,2,2,2,2,2,2,2,2,2,2,2,2", "8,8,8,8,2"])
+def test_equivariant_worst_accepted_orders_within_budget(group):
+    # the largest orders the bound accepts, at the highest ranks
+    start = time.perf_counter()
+    code, text = run(["equivariant", "--group", group])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(text)["components"][0]["label"] == "M_ell"
+    assert elapsed < 0.5, f"equivariant --group {group} took {elapsed:.3f} s"
 
 
 def test_determinism_byte_identical():
@@ -252,3 +277,18 @@ def test_exactness_no_floats_anywhere():
     ):
         _, text = run(argv)
         assert no_floats(json.loads(text))
+
+
+def test_exactness_no_float_arithmetic_in_source():
+    # no float literal, float() call or true division anywhere in the library
+    hits = []
+    for path in sorted(Path(tmflevels.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+                or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "float")
+                or (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))
+            ):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
