@@ -15,19 +15,6 @@ def trim(p: list[int]) -> list[int]:
     return p[:n]
 
 
-def add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a[:]
-    for i, c in enumerate(b):
-        out[i] += c
-    return trim(out)
-
-
-def neg(a: list[int]) -> list[int]:
-    return [-c for c in a]
-
-
 def mul(a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
@@ -68,18 +55,7 @@ def divmod_exact(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
         for i, c in enumerate(den):
             rem[shift + i] -= coeff * c
         rem = trim(rem)
-        if len(rem) >= len(den) and rem[-1] == 0:
-            rem = trim(rem)
     return trim(quo), trim(rem)
-
-
-def eval_at_one(p: list[int]) -> int:
-    return sum(p)
-
-
-def is_palindromic(p: list[int]) -> bool:
-    p = trim(p)
-    return p == p[::-1]
 
 
 def series_of_quotient(num: list[int], den_exponents: tuple[int, ...], order: int) -> list[int]:

@@ -40,7 +40,7 @@ class Chart:
 
 def _weight_window_for_stems(lo: int, hi: int) -> tuple[int, int]:
     # stem 2k needs h0(k), stem 2k-1 needs h1(k)
-    return (min(lo // 2, (lo + 1) // 2), max(hi // 2, (hi + 1) // 2))
+    return (lo // 2, (hi + 1) // 2)
 
 
 def dss_chart(n: int, stem_range: tuple[int, int], table: S1Table | None = None) -> Chart:
@@ -90,27 +90,13 @@ class SliceList:
 def slices(n: int, index_range: tuple[int, int], table: S1Table | None = None) -> SliceList:
     """Slice ranks: slice 2k is (k*rho, h0(k)); slice 2k-1 is (k*rho - 1, h1(k)).
 
-    Slices of rank zero are omitted (they vanish).
+    Slices of rank zero are omitted (they vanish).  Slice m has the rank and
+    marker of the chart entry at stem m.
     """
-    lo, hi = index_range
-    if lo > hi:
-        return SliceList(n, index_range, ())
-    rt = rank_table(n, _weight_window_for_stems(lo, hi), table)
-    out = []
-    for m in range(lo, hi + 1):
-        if m % 2 == 0:
-            k, offset = m // 2, 0
-            rank = rt.h0_rank(k)
-            partial = rt.h0.get(k, 0)
-        else:
-            k, offset = (m + 1) // 2, -1
-            rank = rt.h1_rank(k)
-            partial = rt.h1.get(k, 0)
-        if rank is UNKNOWN:
-            out.append(Slice(m, k, offset, partial, NEEDS_S1))
-        elif rank > 0:
-            out.append(Slice(m, k, offset, rank))
-    return SliceList(n, index_range, tuple(out))
+    chart = dss_chart(n, index_range, table)
+    return SliceList(n, index_range, tuple(
+        Slice(e.stem, (e.stem + 1) // 2, -(e.stem % 2), e.rank, e.marker) for e in chart.entries
+    ))
 
 
 def _rank_at_stem(rt, stem: int):

@@ -1,9 +1,14 @@
 """Command line entry point.
 
 Subcommands: invariants, chart, split, duality, hfpss, equivariant.
-Output is versioned JSON by default (human formats are derived views) and is
-byte-deterministic for fixed inputs.  Every number printed is exact; rationals
-appear as "a/b".  Exit codes: 0 success, 1 domain error, 2 usage error.
+Output is JSON by default (human formats are derived views) and is
+byte-deterministic for fixed inputs.  Every JSON payload carries
+``"version"`` except chart JSON, which is ``charts.render``'s bytes as they
+are.  Every number printed is exact; rationals appear as "a/b".  Exit codes:
+0 success, 1 domain error, 2 usage error.
+
+Each ``_cmd_*(args)`` returns a dict (a JSON payload) or a str (output already
+rendered); ``main`` stamps the version, writes it and reports errors.
 """
 
 from __future__ import annotations
@@ -23,10 +28,6 @@ S1_ENV = "TMFLEVELS_S1_FILE"
 VERSION = 1
 
 
-class DomainError(Exception):
-    pass
-
-
 def _parse_range(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
     if not m:
@@ -41,112 +42,94 @@ def _s1_table(args):
 
 def _check_level(n: int):
     if n < 1:
-        raise DomainError("level must be a positive integer")
+        raise ValueError("level must be a positive integer")
     if n > MAX_LEVEL:
-        raise DomainError(f"level {n} exceeds the size bound {MAX_LEVEL}")
+        raise ValueError(f"level {n} exceeds the size bound {MAX_LEVEL}")
 
 
-def _emit(out, payload):
-    out.write(payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True) + "\n")
+def _coeffs(q) -> dict:
+    return {str(j): c for j, c in sorted(q.coeffs.items())}
 
 
-def _cmd_invariants(args, out) -> int:
+def _cmd_invariants(args):
     _check_level(args.n)
     inv = curve_invariants(args.n)
     if inv.valid_for_curve:
-        payload = {
-            "version": VERSION, "n": inv.n, "curve": True, "d": inv.d,
+        return {
+            "n": inv.n, "curve": True, "d": inv.d,
             "deg_omega": inv.deg_omega, "cusps": inv.cusps, "genus": inv.genus,
         }
-    else:
-        payload = {
-            "version": VERSION, "n": inv.n, "curve": False, "d": inv.d,
-            "stacky_weights": list(inv.stacky.weights),
-        }
-    _emit(out, payload)
-    return 0
+    return {
+        "n": inv.n, "curve": False, "d": inv.d,
+        "stacky_weights": list(inv.stacky.weights),
+    }
 
 
-def _cmd_chart(args, out) -> int:
+def _cmd_chart(args):
     _check_level(args.n)
     chart = charts.dss_chart(args.n, args.range, _s1_table(args))
-    out.write(charts.render(chart, args.format).decode("utf-8"))
-    return 0
+    return charts.render(chart, args.format).decode("utf-8")
 
 
-def _cmd_split(args, out) -> int:
+def _cmd_split(args):
     _check_level(args.n)
     if args.n < 2:
-        raise DomainError("split requires n >= 2")
+        raise ValueError("split requires n >= 2")
     table = _s1_table(args)
     base = splitting.base_for_prime(args.prime)
-    try:
-        q = splitting.shift_polynomial(args.n, base, table)
-    except ValueError as exc:
-        raise DomainError(str(exc))
+    q = splitting.shift_polynomial(args.n, base, table)
     if q is UNKNOWN:
-        raise DomainError(
+        raise ValueError(
             f"s1 data required for n={args.n}; supply --s1-file or {S1_ENV}"
         )
     if isinstance(q, splitting.NoSplitting):
-        _emit(out, {"version": VERSION, "base": base.name, "no_splitting": q.reason})
-        return 0
+        return {"base": base.name, "no_splitting": q.reason}
     torsion = (
         splitting.Torsion.HOLDS
         if args.prime == 0
         else splitting.torsion_condition(args.n, args.prime)
     )
     payload = {
-        "version": VERSION,
         "base": base.name,
-        "coeffs": {str(j): c for j, c in sorted(q.coeffs.items())},
+        "coeffs": _coeffs(q),
         "torsion": torsion.value,
         "rank_check": q.rank(),
     }
     if args.rho:
         if base is not splitting.Base.L2:
-            raise DomainError("--rho applies to the 2-local base only")
-        payload["rho_shifts"] = {str(k): c for k, c in splitting.rho_decorate(q).items()}
+            raise ValueError("--rho applies to the 2-local base only")
+        payload["rho_shifts"] = payload["coeffs"]
     if args.mod is not None:
         sums, equal = splitting.profile_mod(q, args.mod)
         payload["profile_mod"] = {"m": args.mod, "sums": sums, "equal": equal}
-    _emit(out, payload)
-    return 0
+    return payload
 
 
-def _verdict_row(v) -> dict:
-    return {"n": v.n, "l": v.shift_l}
-
-
-def _cmd_duality(args, out) -> int:
+def _cmd_duality(args):
     table = _s1_table(args)
     if args.n is not None:
         _check_level(args.n)
         v = duality.verdict(args.n, table)
         if v is UNKNOWN:
-            raise DomainError(f"verdict for n={args.n} requires s1 data")
+            raise ValueError(f"verdict for n={args.n} requires s1 data")
         payload = {
-            "version": VERSION, "n": v.n, "self_dual": v.self_dual,
+            "n": v.n, "self_dual": v.self_dual,
             "twist": v.twist, "l": v.shift_l, "reason": v.reason,
             "c2_shift": list(v.c2_shift) if v.c2_shift else None,
         }
         if v.c2_shift:
             payload["c2_shift_rho"] = duality.rho_string(v.c2_shift)
-        _emit(out, payload)
-        return 0
+        return payload
     if args.scan is None:
-        raise DomainError("duality needs --n or --scan")
+        raise ValueError("duality needs --n or --scan")
     _check_level(args.scan)
     rows = duality.duality_scan(args.scan, table)
     if args.format == "table":
-        lines = ["n   l"] + [f"{v.n:<4}{v.shift_l}" for v in rows]
-        out.write("\n".join(lines) + "\n")
-    else:
-        _emit(out, {"version": VERSION, "scan": args.scan, "rows": [_verdict_row(v) for v in rows]})
-    return 0
+        return "".join(["n   l\n"] + [f"{v.n:<4}{v.shift_l}\n" for v in rows])
+    return {"scan": args.scan, "rows": [{"n": v.n, "l": v.shift_l} for v in rows]}
 
 
-def _cmd_hfpss(args, out) -> int:
+def _cmd_hfpss(args):
     name = args.ring
     stock = hfpss.presets()
     if name in stock:
@@ -154,35 +137,40 @@ def _cmd_hfpss(args, out) -> int:
     elif os.path.exists(name):
         spec = hfpss.load_ringspec(name)
     else:
-        raise DomainError(f"unknown ring preset or missing file: {name}")
-    c, d, f = args.window
+        raise ValueError(f"unknown ring preset or missing file: {name}")
     strategy = {
         "both": hfpss.STRATEGY_BOTH,
         "fast": hfpss.STRATEGY_CLOSED,
         "reference": hfpss.STRATEGY_PAGES,
     }[args.strategy]
-    chart = hfpss.compute_einfty(spec, hfpss.Window(c, d, f), strategy)
+    chart = hfpss.compute_einfty(spec, hfpss.Window(*args.window), strategy)
     if args.format == "ascii":
-        out.write(hfpss.render_ascii(chart))
+        return hfpss.render_ascii(chart)
+    return hfpss.chart_to_dict(chart)
+
+
+def _split_row(p) -> dict:
+    if p.poly is UNKNOWN:
+        status, coeffs = "unknown_s1", None
+    elif isinstance(p.poly, splitting.NoSplitting):
+        status, coeffs = "no_splitting", None
     else:
-        payload = hfpss.chart_to_dict(chart)
-        payload["version"] = VERSION
-        _emit(out, payload)
-    return 0
+        status, coeffs = "ok", _coeffs(p.poly)
+    return {
+        "divisor": p.divisor,
+        "coeffs": coeffs,
+        "status": status,
+        "expected_rank": p.expected_rank,
+    }
 
 
-def _cmd_equivariant(args, out) -> int:
-    try:
-        orders = [int(x) for x in args.group.split(",")]
-        G = equivariant.FiniteAbelian.from_orders(orders)
-    except ValueError as exc:
-        raise DomainError(str(exc))
+def _cmd_equivariant(args):
+    G = equivariant.FiniteAbelian.from_orders([int(x) for x in args.group.split(",")])
     if G.order > equivariant.MAX_ORDER:
-        raise DomainError(f"group order {G.order} exceeds the bound {equivariant.MAX_ORDER}")
+        raise ValueError(f"group order {G.order} exceeds the bound {equivariant.MAX_ORDER}")
     if args.prime is not None and G.rank > 1:
-        raise DomainError("--prime splitting applies to cyclic groups only")
+        raise ValueError("--prime splitting applies to cyclic groups only")
     payload = {
-        "version": VERSION,
         "group": list(G.factors),
         "components": [
             {"quotient": list(c.quotient), "label": c.label, "multiplicity": c.multiplicity}
@@ -190,32 +178,12 @@ def _cmd_equivariant(args, out) -> int:
         ],
     }
     if args.prime is not None:
-        try:
-            split = equivariant.cyclic_full_split(G.order, args.prime, _s1_table(args))
-        except ValueError as exc:
-            raise DomainError(str(exc))
+        split = equivariant.cyclic_full_split(G.order, args.prime, _s1_table(args))
         payload["split"] = {
             "unit": split["unit"],
-            "divisors": [
-                {
-                    "divisor": p.divisor,
-                    "coeffs": (
-                        None
-                        if p.poly is UNKNOWN or isinstance(p.poly, splitting.NoSplitting)
-                        else {str(j): c for j, c in sorted(p.poly.coeffs.items())}
-                    ),
-                    "status": (
-                        "unknown_s1" if p.poly is UNKNOWN
-                        else "no_splitting" if isinstance(p.poly, splitting.NoSplitting)
-                        else "ok"
-                    ),
-                    "expected_rank": p.expected_rank,
-                }
-                for p in split["divisors"]
-            ],
+            "divisors": [_split_row(p) for p in split["divisors"]],
         }
-    _emit(out, payload)
-    return 0
+    return payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,34 +242,26 @@ def _normalize_argv(argv):
     """Join '--range -10..10' into '--range=-10..10' so argparse does not
     mistake a negative stem bound for an option."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--range" and i + 1 < len(argv) and re.fullmatch(
-            r"-?\d+\.\.-?\d+", argv[i + 1]
-        ):
-            out.append(f"--range={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if out and out[-1] == "--range" and re.fullmatch(r"-?\d+\.\.-?\d+", tok):
+            out[-1] = f"--range={tok}"
+        else:
+            out.append(tok)
     return out
 
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_normalize_argv(list(argv)))
+    args = build_parser().parse_args(_normalize_argv(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args, out)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        result = args.func(args)
+        if isinstance(result, dict):
+            result = json.dumps({**result, "version": VERSION}, sort_keys=True) + "\n"
+        out.write(result)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

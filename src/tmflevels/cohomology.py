@@ -90,6 +90,8 @@ def load_s1_table(path=None) -> S1Table:
         if reader.fieldnames != ["n", "s1"]:
             raise ValueError(f"s1 file {path}: header must be exactly 'n,s1'")
         for row in reader:
+            if row["s1"] is None:
+                raise ValueError(f"s1 file {path}: line {reader.line_num} has no s1 value")
             n, v = int(row["n"]), int(row["s1"])
             if v < 0:
                 raise ValueError(f"s1 file {path}: negative value for n={n}")
@@ -178,8 +180,6 @@ def rank_table(n: int, window: tuple[int, int], table: S1Table | None = None) ->
         else:
             h0[k] = k * degw + 1 - g
             h1[k] = 0
-    if needs and 1 in h1:
-        del h1[1]
     return RankTable(n, window, h0, h1, needs_s1=needs and lo <= 1 <= hi, eisenstein_weight1=eis)
 
 

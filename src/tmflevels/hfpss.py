@@ -140,14 +140,6 @@ class RingSpec:
         g = self.generator(sym)
         return g.invertible or exps[self.gen_index(sym)] >= 1
 
-    def monomial_str(self, exps: tuple[int, ...]) -> str:
-        parts = [
-            f"{g.sym}^{e}" if e != 1 else g.sym
-            for g, e in zip(self.generators, exps)
-            if e
-        ]
-        return "*".join(parts) if parts else "1"
-
     @property
     def vanishing_line(self) -> int | None:
         """Filtration above which E_infty vanishes, if the chain ends invertibly."""
@@ -628,7 +620,21 @@ def presets() -> dict[str, RingSpec]:
     }
 
 
-def ringspec_from_dict(data: dict) -> RingSpec:
+RING_KEYS = ("name", "base", "generators", "v", "termination")
+
+
+def ringspec_from_dict(data) -> RingSpec:
+    """Ring spec from parsed JSON; a malformed shape raises ValueError."""
+    if not isinstance(data, dict) or any(k not in data for k in RING_KEYS):
+        raise ValueError(f"ring spec must be a JSON object with keys {', '.join(RING_KEYS)}")
+    if not isinstance(data["generators"], list) or not all(
+        isinstance(g, dict) and isinstance(g.get("sym"), str) and isinstance(g.get("weight"), int)
+        for g in data["generators"]
+    ):
+        raise ValueError("ring spec generators must be objects with a string 'sym' "
+                         "and an integer 'weight'")
+    if not isinstance(data["v"], list):
+        raise ValueError("ring spec 'v' must be a list of generator symbols")
     gens = tuple(
         Generator(g["sym"], int(g["weight"]), bool(g.get("invertible", False)))
         for g in data["generators"]

@@ -133,6 +133,14 @@ def test_s1_env_var(tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_s1_file_missing_field(tmp_path, capsys):
+    f = tmp_path / "s1.csv"
+    f.write_text("n,s1\n5\n", encoding="utf-8")
+    code, text = run(["chart", "--n", "25", "--range", "0..2", "--s1-file", str(f)])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == f"error: s1 file {f}: line 2 has no s1 value\n"
+
+
 def test_duality_single():
     code, text = run(["duality", "--n", "23"])
     data = json.loads(text)
@@ -199,6 +207,17 @@ def test_hfpss_ring_file(tmp_path):
     code, text = run(["hfpss", "--ring", str(path), "--window", "2", "2", "2"])
     assert code == 0
     assert json.loads(text)["ring"] == "custom-height1"
+
+
+@pytest.mark.parametrize("spec", [{"name": "x"}, [1, 2]])
+def test_hfpss_malformed_ring_file(tmp_path, capsys, spec):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, text = run(["hfpss", "--ring", str(path), "--window", "2", "2", "2"])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: ring spec must be a JSON object with keys name, base, generators, v, termination\n"
+    )
 
 
 def test_hfpss_unknown_ring(capsys):

@@ -90,6 +90,22 @@ def test_ringspec_json_roundtrip(tmp_path):
     assert load_ringspec(path) == H2L
 
 
+def test_ringspec_from_dict_shape():
+    good = ringspec_to_dict(H2L)
+    for bad in (
+        [1, 2],
+        {k: v for k, v in good.items() if k != "generators"},
+        {**good, "generators": [1]},
+        {**good, "generators": [{"sym": "a1"}]},
+        {**good, "generators": [{"sym": "a1", "weight": None}]},
+        {**good, "generators": [{"sym": "a1", "weight": 1.5}]},
+        {**good, "generators": {"sym": "a1", "weight": 1}},
+        {**good, "v": None},
+    ):
+        with pytest.raises(ValueError):
+            ringspec_from_dict(bad)
+
+
 def test_e2_basis_degree_00():
     classes = e2_basis(H1, (0, 0), 4)
     assert [(c.exps, c.a_exp, c.u_exp) for c in classes] == [
