@@ -78,7 +78,8 @@ def load_s1_table(path=None) -> S1Table:
     """Builtin table, optionally overridden entry-by-entry from a user CSV.
 
     The file format is a UTF-8 CSV with header ``n,s1`` and no quoting.  A user
-    entry that conflicts with a builtin value triggers a warning and wins.
+    entry that conflicts with a builtin value triggers a warning and wins.  A
+    row that is not two integers raises ValueError naming the file and line.
     """
     base = builtin_s1_table()
     if path is None:
@@ -90,9 +91,15 @@ def load_s1_table(path=None) -> S1Table:
         if reader.fieldnames != ["n", "s1"]:
             raise ValueError(f"s1 file {path}: header must be exactly 'n,s1'")
         for row in reader:
+            where = f"s1 file {path}: line {reader.line_num}"
             if row["s1"] is None:
-                raise ValueError(f"s1 file {path}: line {reader.line_num} has no s1 value")
-            n, v = int(row["n"]), int(row["s1"])
+                raise ValueError(f"{where} has no s1 value")
+            if None in row:  # DictReader files fields past the header under None
+                raise ValueError(f"{where} has more than two fields")
+            try:
+                n, v = int(row["n"]), int(row["s1"])
+            except ValueError:
+                raise ValueError(f"{where} has a value that is not an integer") from None
             if v < 0:
                 raise ValueError(f"s1 file {path}: negative value for n={n}")
             if n in values and prov[n] == BUILTIN and values[n] != v:

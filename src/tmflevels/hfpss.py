@@ -17,6 +17,21 @@ marker when the class supports a differential) and F2 above.
 
 Two strategies are provided and must agree: ``page_by_page`` simulates the
 differentials; ``closed_form`` evaluates the survivor predicate directly.
+The predicate sees a monomial only through its v-divisibility mask, with
+bit j set when v_{j+1} divides it (an invertible v divides everything).
+With h the effective height, monomial * a^s * u^m is a permanent cycle iff
+
+    m = 0,  or  val2(m) >= h,  or  mask & (2^val2(m) - 1) != 0,
+
+and a boundary iff mask & B(s) != 0, where B(s) has bit j-1 for each j <= h
+with s >= 2^(j+1) - 1.  Above filtration 0 the permanent cycles that are not
+boundaries survive; at filtration 0 the permanent cycles are full lattices
+and the rest index-two sublattices.  ``closed_form`` therefore counts the
+monomials of each weight by mask once and sums the passing masks per slot.
+
+Before either strategy runs, the work asked for (slots visited plus
+monomials touched) is counted without enumerating it, and a request above
+``MAX_WORK`` is refused with ValueError.
 
 Laurent directions make homotopy infinite-rank per degree; enumeration caps
 the exponents of invertible generators at a window-derived bound.  Reported
@@ -27,9 +42,11 @@ statements are cap-independent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+
+from . import _poly
 
 GROUP_Z = "Z"
 GROUP_Z_DIV2 = "Z_div2"
@@ -37,6 +54,9 @@ GROUP_Z2 = "Z/2"
 
 TERM_INVERTIBLE = "invertible"
 TERM_IN_IDEAL = "in_ideal"
+
+# Entries kept by the weight_basis cache; a warm hfpss-windows round holds 528.
+WEIGHT_BASIS_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -73,6 +93,11 @@ class RingSpec:
     invertible, or the next one falls into the ideal of the earlier ones.
     A repeated symbol in the v-list marks the chain as degenerate from that
     point on; differentials beyond it vanish.
+
+    Derived once at construction, and left out of ``==``, ``hash`` and
+    ``repr``: ``effective_height``, the length of the non-degenerate initial
+    segment of the v-chain, and ``v_index``, the generator index of each v
+    in that segment.
     """
 
     name: str
@@ -80,10 +105,13 @@ class RingSpec:
     generators: tuple[Generator, ...]
     v: tuple[str, ...]
     termination: str
+    effective_height: int = field(init=False, compare=False, repr=False)
+    v_index: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _index: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        syms = [g.sym for g in self.generators]
-        if len(set(syms)) != len(syms):
+        index = {g.sym: i for i, g in enumerate(self.generators)}
+        if len(index) != len(self.generators):
             raise ValueError("generator symbols must be distinct")
         if self.base not in ("Z", "Z2loc"):
             raise ValueError("base must be 'Z' or 'Z2loc'")
@@ -93,13 +121,18 @@ class RingSpec:
         if not self.v and self.termination != TERM_IN_IDEAL:
             raise ValueError("an empty v-sequence needs termination 'in_ideal'")
         for sym in self.v:
-            if sym not in syms:
+            if sym not in index:
                 raise ValueError(f"v-assignment {sym} is not a generator")
         if self.termination not in (TERM_INVERTIBLE, TERM_IN_IDEAL):
             raise ValueError("termination must be 'invertible' or 'in_ideal'")
-        h_eff = self.effective_height
-        for k in range(1, h_eff + 1):
-            g = self.generator(self.v[k - 1])
+        h_eff = 0
+        while h_eff < len(self.v) and self.v[h_eff] not in self.v[:h_eff]:
+            h_eff += 1
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "effective_height", h_eff)
+        object.__setattr__(self, "v_index", tuple(index[sym] for sym in self.v[:h_eff]))
+        for k, i in enumerate(self.v_index, start=1):
+            g = self.generators[i]
             if g.weight != 2**k - 1:
                 raise ValueError(
                     f"v_{k} = {g.sym} must have weight {2**k - 1}, got {g.weight}"
@@ -112,27 +145,11 @@ class RingSpec:
     def height(self) -> int:
         return len(self.v)
 
-    @property
-    def effective_height(self) -> int:
-        """Length of the non-degenerate initial segment of the v-chain."""
-        seen: set[str] = set()
-        for k, sym in enumerate(self.v, start=1):
-            if sym in seen:
-                return k - 1
-            seen.add(sym)
-        return len(self.v)
-
     def generator(self, sym: str) -> Generator:
-        for g in self.generators:
-            if g.sym == sym:
-                return g
-        raise KeyError(sym)
+        return self.generators[self._index[sym]]
 
     def gen_index(self, sym: str) -> int:
-        for i, g in enumerate(self.generators):
-            if g.sym == sym:
-                return i
-        raise KeyError(sym)
+        return self._index[sym]
 
     def divides(self, sym: str, exps: tuple[int, ...]) -> bool:
         """Whether the generator divides the monomial; invertible generators
@@ -148,7 +165,7 @@ class RingSpec:
         return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WEIGHT_BASIS_CACHE_SIZE)
 def weight_basis(spec: RingSpec, w: int, bound: int) -> tuple[tuple[int, ...], ...]:
     """Monomial exponent tuples of weight w; invertible exponents in [-bound, bound]."""
     inv = [(i, g.weight) for i, g in enumerate(spec.generators) if g.invertible]
@@ -252,13 +269,12 @@ def differential(spec: RingSpec, cls: PageClass, r: int) -> PageClass | None:
         return None
     if e + 1 > spec.effective_height:
         return None
-    sym = spec.v[e]
-    idx = spec.gen_index(sym)
+    idx = spec.v_index[e]
     exps = list(cls.exps)
     exps[idx] += 1
     target = PageClass(
         tuple(exps),
-        cls.weight + spec.generator(sym).weight,
+        cls.weight + spec.generators[idx].weight,
         cls.a_exp + r,
         m - 2**e,
     )
@@ -268,20 +284,30 @@ def differential(spec: RingSpec, cls: PageClass, r: int) -> PageClass | None:
     return target
 
 
-def _is_permanent_cycle(spec: RingSpec, exps: tuple[int, ...], m: int) -> bool:
+def _v_mask(spec: RingSpec, exps: tuple[int, ...]) -> int:
+    """v-divisibility mask of a monomial: bit j is set when v_{j+1} divides
+    it (an invertible v divides everything)."""
+    mask = 0
+    for j, i in enumerate(spec.v_index):
+        if exps[i] >= 1 or spec.generators[i].invertible:
+            mask |= 1 << j
+    return mask
+
+
+def _is_permanent_cycle(h: int, mask: int, m: int) -> bool:
+    """Whether u^m times a monomial with v-mask ``mask`` survives its one
+    firing page: m = 0, or val2(m) >= h, or some v_j with j <= val2(m)
+    divides the monomial."""
     if m == 0:
         return True
     e = _val2(m)
-    if e >= spec.effective_height:
-        return True
-    return any(spec.divides(spec.v[j - 1], exps) for j in range(1, e + 1))
+    return e >= h or mask & ((1 << e) - 1) != 0
 
 
-def _is_boundary(spec: RingSpec, exps: tuple[int, ...], s: int) -> bool:
-    return any(
-        s >= 2 ** (j + 1) - 1 and spec.divides(spec.v[j - 1], exps)
-        for j in range(1, spec.effective_height + 1)
-    )
+def _boundary_mask(h: int, s: int) -> int:
+    """B(s): bit j-1 for each j <= h with s >= 2^(j+1) - 1.  A class at
+    filtration s with v-mask ``mask`` is a boundary iff ``mask & B(s)``."""
+    return sum(1 << (j - 1) for j in range(1, h + 1) if s >= 2 ** (j + 1) - 1)
 
 
 @dataclass(frozen=True)
@@ -315,119 +341,273 @@ class EinftyChart:
         return self.entries.get((c, d), ())
 
 
+def _page_span(h: int) -> int:
+    """Filtration spanned by the pages r = 2^(e+2) - 1, e < h."""
+    return sum(2 ** (e + 2) - 1 for e in range(h))
+
+
 def _auto_bound(spec: RingSpec, window: Window) -> int:
     """Exponent cap for invertible generators: large enough that every weight
     reachable inside the (padded) window is realized, plus a small margin."""
     h = spec.effective_height
-    pad_s = sum(2 ** (e + 2) - 1 for e in range(h))
-    wmax = (window.c + h + 1 + window.d + window.f + pad_s) // 2 + 1
+    wmax = (window.c + h + 1 + window.d + window.f + _page_span(h)) // 2 + 1
     inv_weights = [g.weight for g in spec.generators if g.invertible]
     if not inv_weights:
         return max(8, wmax)
     return max(8, wmax // min(inv_weights) + 2)
 
 
+def _window_box(window: Window) -> tuple[range, range, range]:
+    return (
+        range(-window.c, window.c + 1),
+        range(-window.d, window.d + 1),
+        range(0, window.f + 1),
+    )
+
+
+def _page_box(spec: RingSpec, window: Window, bound: int) -> tuple[range, range, range, int]:
+    """The region ``page_by_page`` materializes and its exponent cap: one
+    column per firing page on each side in c, the span of every page in
+    filtration, and the cap raised by h."""
+    h = spec.effective_height
+    return (
+        range(-window.c - h - 1, window.c + h + 2),
+        range(-window.d, window.d + 1),
+        range(0, window.f + _page_span(h) + 1),
+        bound + h,
+    )
+
+
+def _residues(rng: range, q: int) -> range:
+    """The elements of ``rng`` congruent to q mod 4."""
+    return range(rng.start + (q - rng.start) % 4, rng.stop, 4)
+
+
 def _slots(cr, dr, sr):
+    """(c, d, w, m, s) for each slot of a box: d = c - s mod 4 makes c - d - s
+    divisible by 4 and c + d + s even."""
     for c in cr:
-        for d in dr:
-            for s in sr:
-                if (c + d + s) % 2 == 0 and (c - d - s) % 4 == 0:
-                    yield c, d, (c + d + s) // 2, (c - d - s) // 4, s
+        for s in sr:
+            for d in _residues(dr, c - s):
+                yield c, d, (c + d + s) // 2, (c - d - s) // 4, s
 
 
 def _closed_form(spec: RingSpec, window: Window, bound: int) -> dict:
+    """Survivors from the predicate in mask form: the monomials of each
+    weight are counted by v-mask once, and each slot sums the counts of the
+    masks that pass."""
+    h = spec.effective_height
+    cr, dr, sr = _window_box(window)
+    boundary = [_boundary_mask(h, s) for s in sr]
+    hists: dict = {}
     survivors: dict = {}
-    cr = range(-window.c, window.c + 1)
-    dr = range(-window.d, window.d + 1)
-    sr = range(0, window.f + 1)
     for c, d, w, m, s in _slots(cr, dr, sr):
-        basis = weight_basis(spec, w, bound)
-        if not basis:
-            continue
-        key = (c, d)
+        hist = hists.get(w)
+        if hist is None:
+            hist = hists[w] = {}
+            for exps in weight_basis(spec, w, bound):
+                mask = _v_mask(spec, exps)
+                hist[mask] = hist.get(mask, 0) + 1
+        n_total = n_cycle = n_alive = 0
+        for mask, n in hist.items():
+            n_total += n
+            if _is_permanent_cycle(h, mask, m):
+                n_cycle += n
+                if not mask & boundary[s]:
+                    n_alive += n
         if s == 0:
-            n_cycle = sum(1 for exps in basis if _is_permanent_cycle(spec, exps, m))
             if n_cycle:
-                survivors.setdefault(key, []).append((s, GROUP_Z, n_cycle))
-            if len(basis) - n_cycle:
-                survivors.setdefault(key, []).append((s, GROUP_Z_DIV2, len(basis) - n_cycle))
-        else:
-            n = sum(
-                1
-                for exps in basis
-                if _is_permanent_cycle(spec, exps, m) and not _is_boundary(spec, exps, s)
-            )
-            if n:
-                survivors.setdefault(key, []).append((s, GROUP_Z2, n))
+                survivors.setdefault((c, d), []).append((0, GROUP_Z, n_cycle))
+            if n_total - n_cycle:
+                survivors.setdefault((c, d), []).append((0, GROUP_Z_DIV2, n_total - n_cycle))
+        elif n_alive:
+            survivors.setdefault((c, d), []).append((s, GROUP_Z2, n_alive))
     return {k: tuple(sorted(v)) for k, v in survivors.items()}
 
 
-def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[dict, tuple[int, ...]]:
-    h = spec.effective_height
-    pad_c = h + 1
-    pad_s = sum(2 ** (e + 2) - 1 for e in range(h))
-    pad_b = bound + h
-    cr = range(-window.c - pad_c, window.c + pad_c + 1)
-    dr = range(-window.d, window.d + 1)
-    sr = range(0, window.f + pad_s + 1)
+def _materialize(spec: RingSpec, window: Window, bound: int) -> tuple[dict, list, list, dict]:
+    """The E2 classes of ``page_by_page``'s padded region as integer keys.
 
-    # state: 1 = full lattice / F2 class alive, 2 = index-two sublattice left
-    state: dict = {}
-    weight_of: dict = {}
+    A class exps * a^s * u^m is one integer with mixed-radix digits: each
+    exponent minus its lowest possible value (with a spare value above its
+    highest, for a differential's target), then s (with room for the longest
+    page), then m on top, which needs no bound.  Returns the state (every key
+    at 1), the sources filed under val2(m), the one page each can fire on,
+    the places of the digits (one per generator, then s and m), and by weight
+    the codes of the monomials within the window's exponent cap.
+    """
+    h = spec.effective_height
+    cr, dr, sr, pad_b = _page_box(spec, window, bound)
+    # a polynomial exponent times its weight is at most the top weight plus
+    # what the invertible exponents, each >= -pad_b, can take away
+    top = (cr[-1] + dr[-1] + sr[-1]) // 2
+    top += pad_b * sum(g.weight for g in spec.generators if g.invertible)
+    lows, place, radix = [], [], 1
+    for g in spec.generators:
+        lo, hi = (-pad_b, pad_b) if g.invertible else (0, max(top, 0) // g.weight)
+        lows.append(lo)
+        place.append(radix)
+        radix *= hi - lo + 2
+    place += [radix, radix * (sr[-1] + 2 ** (h + 1))]
+    s_place, m_place = place[-2:]
+
+    bases: dict = {}
+    codes: dict = {}
+    keys: list = []
+    sources: list[list] = [[] for _ in range(h)]
     for c, d, w, m, s in _slots(cr, dr, sr):
-        for exps in weight_basis(spec, w, pad_b):
-            state[(exps, s, m)] = 1
-            weight_of[exps] = w
+        if w not in codes:
+            bases[w] = weight_basis(spec, w, pad_b)
+            codes[w] = [
+                sum((x - lo) * p for x, lo, p in zip(exps, lows, place)) for exps in bases[w]
+            ]
+        offset = s * s_place + m * m_place
+        slot = [x + offset for x in codes[w]]
+        keys += slot
+        if m and (e := _val2(m)) < h:
+            sources[e] += slot
+    state = dict.fromkeys(keys, 1)
+
+    inv_idx = [i for i, g in enumerate(spec.generators) if g.invertible]
+    capped = {
+        w: [x for exps, x in zip(bases[w], codes[w])
+            if all(abs(exps[i]) <= bound for i in inv_idx)]
+        for w in bases
+    }
+    return state, sources, place, capped
+
+
+def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[dict, tuple[int, ...]]:
+    """Run the differentials page by page on ``_materialize``'s classes.
+
+    The d_r of a page adds one fixed shift to a source's key, so its target
+    is ``key + shift``.  State 1 is a full lattice (or F2 class) alive, 2 the
+    index-two sublattice left.
+    """
+    h = spec.effective_height
+    state, sources, place, capped = _materialize(spec, window, bound)
+    s_place, m_place = place[-2:]
 
     fired = []
     for e in range(h + 2):
         r = 2 ** (e + 2) - 1
         page_fired = False
-        sources = [
-            k for k, st in state.items() if st == 1 and k[2] != 0 and _val2(k[2]) == e
-        ]
-        for key in sources:
-            exps, s, m = key
-            cls = PageClass(exps, weight_of[exps], s, m)
-            target = differential(spec, cls, r)
-            if target is None:
-                continue
-            tkey = (target.exps, target.a_exp, target.u_exp)
-            if state.get(tkey) != 1:
-                continue  # dead or unmaterialized target: differential is zero here
-            page_fired = True
-            del state[tkey]
-            if s == 0:
-                state[key] = 2
-            else:
-                del state[key]
+        if e < h:  # past the non-degenerate chain there is no v_{e+1}: d_r = 0
+            # d_r multiplies by v_{e+1} a^r u^(-2^e), the same for every source
+            idx = spec.v_index[e]
+            dw, ds, dm = spec.generators[idx].weight, r, -(2**e)
+            if (dw + 2 * dm, dw - 2 * dm - ds, ds) != (-1, 0, r):
+                raise ArithmeticError("differential degree bookkeeping violated")
+            shift = place[idx] + ds * s_place + dm * m_place
+            for key in sources[e]:
+                if state.get(key) != 1:
+                    continue
+                target = key + shift
+                if state.get(target) != 1:
+                    continue  # dead or unmaterialized target: differential is zero here
+                page_fired = True
+                del state[target]
+                if key % m_place < s_place:  # s == 0
+                    state[key] = 2
+                else:
+                    del state[key]
         if page_fired:
             if e >= h:
                 raise ArithmeticError("differential fired past the declared collapse")
             fired.append(r)
 
-    inv_idx = [i for i, g in enumerate(spec.generators) if g.invertible]
     survivors: dict = {}
-    for (exps, s, m), st in state.items():
-        w = weight_of[exps]
-        c, d = w + 2 * m, w - 2 * m - s
-        if abs(c) > window.c or abs(d) > window.d or s > window.f:
-            continue
-        if any(abs(exps[i]) > bound for i in inv_idx):
-            continue
-        group = GROUP_Z2 if s else (GROUP_Z if st == 1 else GROUP_Z_DIV2)
-        survivors.setdefault((c, d), {}).setdefault((s, group), 0)
-        survivors[(c, d)][(s, group)] += 1
-    shaped = {
-        k: tuple(sorted((s, g, n) for (s, g), n in v.items()))
-        for k, v in survivors.items()
-    }
-    return shaped, tuple(fired)
+    for c, d, w, m, s in _slots(*_window_box(window)):
+        offset = s * s_place + m * m_place
+        alive = [state.get(x + offset) for x in capped[w]]
+        if s:
+            found = ((s, GROUP_Z2, alive.count(1)),)
+        else:
+            found = ((0, GROUP_Z, alive.count(1)), (0, GROUP_Z_DIV2, alive.count(2)))
+        for entry in found:
+            if entry[2]:
+                survivors.setdefault((c, d), []).append(entry)
+    return {k: tuple(sorted(v)) for k, v in survivors.items()}, tuple(fired)
 
 
 STRATEGY_CLOSED = "closed_form"
 STRATEGY_PAGES = "page_by_page"
 STRATEGY_BOTH = "both"
+
+# Most slots plus monomials one compute_einfty call may visit (see _work).
+MAX_WORK = 1_000_000
+
+
+def _weight_counts(spec: RingSpec, bound: int, w_lo: int, w_hi: int) -> list[int]:
+    """Entry w - w_lo: the number of weight-w monomials with invertible
+    exponents in [-bound, bound], for w_lo <= w <= w_hi.
+
+    The coefficient of t^(w + shift), shift = bound * (sum of invertible
+    weights), in prod_inv (1 - t^((2*bound+1)*wt)) / prod_all (1 - t^wt).
+    The table costs one step per weight and generator up to t^(w_hi + shift);
+    past ``MAX_WORK`` steps (heavy invertible generators) it is refused.
+    """
+    shift = bound * sum(g.weight for g in spec.generators if g.invertible)
+    order = max(w_hi + shift, 0)
+    if (order + 1) * len(spec.generators) > MAX_WORK:
+        raise ValueError(
+            f"hfpss window too large: a weight-count table of {order + 1} weights "
+            f"by {len(spec.generators)} generators, budget {MAX_WORK}"
+        )
+    series = _poly.series_of_quotient([1], tuple(g.weight for g in spec.generators), order)
+    for g in spec.generators:
+        if g.invertible:  # times 1 - t^cap: the exponent stays within [-bound, bound]
+            cap = (2 * bound + 1) * g.weight
+            for i in range(order, cap - 1, -1):
+                series[i] -= series[i - cap]
+    return [series[w + shift] if w + shift >= 0 else 0 for w in range(w_lo, w_hi + 1)]
+
+
+def _slot_count(cr: range, dr: range, sr: range) -> int:
+    """Slots of a box, c = d + s mod 4, counted by residues."""
+    return sum(
+        len(_residues(cr, q + t)) * len(_residues(dr, q)) * len(_residues(sr, t))
+        for q in range(4) for t in range(4)
+    )
+
+
+def _monomial_count(spec: RingSpec, cr, dr, sr, bound: int, per_slot: bool) -> int:
+    """Monomials of the box's slot weights: summed over every slot (the
+    states of ``page_by_page``) when ``per_slot``, else over the distinct
+    weights (the histograms of ``closed_form``).  One step per (c, s) pair:
+    the slots of a pair have weights w0, w0 + 2, ..., w1."""
+    w_lo = (cr.start + dr.start + sr.start) // 2
+    counts = _weight_counts(spec, bound, w_lo, (cr[-1] + dr[-1] + sr[-1]) // 2)
+    prefix = [0, 0] + counts  # prefix[i + 2] = counts[i] + counts[i - 2] + ...
+    for i in range(2, len(prefix)):
+        prefix[i] += prefix[i - 2]
+    seen = bytearray(len(counts))
+    states = 0
+    for c in cr:
+        for s in sr:
+            ds = _residues(dr, c - s)
+            if ds:
+                w0, w1 = (c + ds[0] + s) // 2 - w_lo, (c + ds[-1] + s) // 2 - w_lo
+                states += prefix[w1 + 2] - prefix[w0]
+                seen[w0:w1 + 1:2] = b"\x01" * len(ds)
+    if per_slot:
+        return states
+    return sum(n for n, hit in zip(counts, seen) if hit)
+
+
+def _work(spec: RingSpec, window: Window, bound: int, strategy: str) -> int:
+    """Slots visited plus monomials touched by the strategies asked for,
+    counted without enumerating either.  Once the slots alone pass
+    ``MAX_WORK`` the monomials are not counted."""
+    boxes = []
+    if strategy != STRATEGY_CLOSED:
+        boxes.append((*_page_box(spec, window, bound), True))
+    if strategy != STRATEGY_PAGES:
+        boxes.append((*_window_box(window), bound, False))
+    work = sum(_slot_count(cr, dr, sr) for cr, dr, sr, _, _ in boxes)
+    if work > MAX_WORK:
+        return work
+    return work + sum(_monomial_count(spec, *box) for box in boxes)
 
 
 def compute_einfty(
@@ -439,6 +619,8 @@ def compute_einfty(
     The page-by-page run materializes a padded region (page span in
     filtration, one column per firing page in the stem direction) so homology
     at the window edge is exact; padding is computed, never configurable.
+    Before either strategy runs, their work is counted (``_work``) and a
+    request above ``MAX_WORK`` is refused with ValueError.
     """
     if strategy not in (STRATEGY_CLOSED, STRATEGY_PAGES, STRATEGY_BOTH):
         raise ValueError(f"unknown strategy: {strategy}")
@@ -446,6 +628,11 @@ def compute_einfty(
         bound = _auto_bound(spec, window)
     if bound < 1:
         raise ValueError("window too small to pad")
+    work = _work(spec, window, bound, strategy)
+    if work > MAX_WORK:
+        raise ValueError(
+            f"hfpss window too large: {work} slots and monomials to visit, budget {MAX_WORK}"
+        )
     collapse = 2 ** (spec.effective_height + 1)
     if strategy == STRATEGY_CLOSED:
         return EinftyChart(spec.name, window, bound, collapse, (), _closed_form(spec, window, bound))

@@ -46,6 +46,19 @@ def test_s1_bad_header(tmp_path):
         load_s1_table(f)
 
 
+def test_s1_malformed_rows_name_file_and_line(tmp_path):
+    f = tmp_path / "s1.csv"
+    for text, problem in (
+        ("n,s1\n5,0,7\n", "line 2 has more than two fields"),
+        ("n,s1\n4,0\n5,x\n", "line 3 has a value that is not an integer"),
+        ("n,s1\nx,0\n", "line 2 has a value that is not an integer"),
+    ):
+        f.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_s1_table(f)
+        assert str(exc.value) == f"s1 file {f}: {problem}"
+
+
 def test_rank_table_23():
     rt = rank_table(23, (-4, 5))
     assert [rt.h0[k] for k in range(0, 6)] == [1, 12, 33, 55, 77, 99]

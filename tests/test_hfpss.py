@@ -1,11 +1,17 @@
 """Spectral sequence engine: presets, differentials, pages, predicates."""
 
+import itertools
+from pathlib import Path
+
 import pytest
 
+from tmflevels import hfpss
 from tmflevels.hfpss import (
     GROUP_Z,
     GROUP_Z2,
     GROUP_Z_DIV2,
+    MAX_WORK,
+    RING_KEYS,
     STRATEGY_BOTH,
     STRATEGY_CLOSED,
     STRATEGY_PAGES,
@@ -14,7 +20,18 @@ from tmflevels.hfpss import (
     PageClass,
     RingSpec,
     RO2Degree,
+    WEIGHT_BASIS_CACHE_SIZE,
     Window,
+    _auto_bound,
+    _closed_form,
+    _materialize,
+    _monomial_count,
+    _page_box,
+    _page_by_page,
+    _slot_count,
+    _slots,
+    _window_box,
+    _work,
     compute_einfty,
     differential,
     e2_basis,
@@ -32,6 +49,55 @@ P = presets()
 H1 = P["height1-laurent"]
 H2P = P["height2-poly"]
 H2L = P["height2-laurent"]
+DEGENERATE = RingSpec("degenerate", "Z2loc", (Generator("x", 1),), ("x", "x"), "in_ideal")
+CUSTOM = load_ringspec(Path(__file__).parent / "golden" / "ring_custom.json")
+INV_V1 = RingSpec(
+    "inv-v1", "Z2loc", (Generator("b1", 1, True), Generator("a3", 3)), ("b1", "a3"), "in_ideal"
+)
+THREE = RingSpec(
+    "height3-poly", "Z2loc", (Generator("a1", 1), Generator("a3", 3), Generator("a7", 7)),
+    ("a1", "a3", "a7"), "in_ideal",
+)
+ORACLE_RINGS = (H1, H2P, H2L, DEGENERATE, CUSTOM, INV_V1, THREE)
+ORACLE_WINDOWS = [Window(*w) for w in itertools.product((0, 1, 3, 7, 12), repeat=3)]
+
+
+def per_monomial_closed_form(spec, window, bound):
+    """The closed form before the mask rewrite: every monomial of every slot
+    goes through the survivor predicate, with divisibility tested by
+    ``RingSpec.divides``."""
+    h = spec.effective_height
+
+    def permanent(exps, m):
+        if m == 0:
+            return True
+        e = (m & -m).bit_length() - 1
+        if e >= h:
+            return True
+        return any(spec.divides(spec.v[j - 1], exps) for j in range(1, e + 1))
+
+    def boundary(exps, s):
+        return any(
+            s >= 2 ** (j + 1) - 1 and spec.divides(spec.v[j - 1], exps)
+            for j in range(1, h + 1)
+        )
+
+    survivors = {}
+    for c in range(-window.c, window.c + 1):
+        for d in range(-window.d, window.d + 1):
+            for s in range(0, window.f + 1):
+                if (c + d + s) % 2 or (c - d - s) % 4:
+                    continue
+                w, m = (c + d + s) // 2, (c - d - s) // 4
+                basis = weight_basis(spec, w, bound)
+                n_cycle = sum(1 for exps in basis if permanent(exps, m))
+                if s == 0:
+                    found = [(0, GROUP_Z, n_cycle), (0, GROUP_Z_DIV2, len(basis) - n_cycle)]
+                else:
+                    n = sum(1 for exps in basis if permanent(exps, m) and not boundary(exps, s))
+                    found = [(s, GROUP_Z2, n)]
+                survivors.setdefault((c, d), []).extend(x for x in found if x[2])
+    return {k: tuple(sorted(v)) for k, v in survivors.items() if v}
 
 
 def test_presets_load_and_validate():
@@ -314,3 +380,99 @@ def test_window_validation():
         compute_einfty(H1, Window(4, 4, 4), "banana")
     with pytest.raises(ValueError):
         compute_einfty(H1, Window(4, 4, 4), STRATEGY_BOTH, bound=0)
+
+
+def test_strategies_equal_the_per_monomial_oracle():
+    # automatic exponent caps, then caps small enough that differentials
+    # leave the materialized exponent range
+    small_caps = list(itertools.product(
+        (Window(3, 3, 3), Window(7, 3, 12), Window(12, 7, 7)), (1, 2)
+    ))
+    for spec in ORACLE_RINGS:
+        for window, bound in [(w, _auto_bound(spec, w)) for w in ORACLE_WINDOWS] + small_caps:
+            expected = per_monomial_closed_form(spec, window, bound)
+            assert _closed_form(spec, window, bound) == expected, (spec.name, window)
+            assert _page_by_page(spec, window, bound)[0] == expected, (spec.name, window)
+
+
+def test_ringspec_derived_fields_stay_out_of_eq_hash_repr_and_dict():
+    twin = ringspec_from_dict(ringspec_to_dict(H2L))
+    assert (twin.effective_height, twin.v_index) == (2, (0, 1))
+    for name in ("effective_height", "v_index", "_index"):
+        object.__setattr__(twin, name, None)
+    assert twin == H2L and hash(twin) == hash(H2L) and repr(twin) == repr(H2L)
+    assert ringspec_to_dict(twin) == ringspec_to_dict(H2L)
+    assert tuple(ringspec_to_dict(H2L)) == RING_KEYS
+
+
+def test_work_counts_what_the_strategies_touch():
+    for spec in (H1, H2P, H2L, DEGENERATE, CUSTOM):
+        for window in (Window(0, 0, 0), Window(3, 1, 7), Window(7, 12, 3), Window(12, 12, 12)):
+            bound = _auto_bound(spec, window)
+            cr, dr, sr, pad_b = _page_box(spec, window, bound)
+            states = _monomial_count(spec, cr, dr, sr, pad_b, True)
+            assert states == len(_materialize(spec, window, bound)[0]), (spec.name, window)
+            box = _window_box(window)
+            weights = {w for _, _, w, _, _ in _slots(*box)}
+            monomials = _monomial_count(spec, *box, bound, False)
+            assert monomials == sum(len(weight_basis(spec, w, bound)) for w in weights)
+            page_slots, slots = _slot_count(cr, dr, sr), _slot_count(*box)
+            assert page_slots == len(list(_slots(cr, dr, sr)))
+            assert slots == len(list(_slots(*box)))
+            assert _work(spec, window, bound, STRATEGY_PAGES) == page_slots + states
+            assert _work(spec, window, bound, STRATEGY_CLOSED) == slots + monomials
+            assert _work(spec, window, bound, STRATEGY_BOTH) == (
+                page_slots + states + slots + monomials
+            )
+
+
+def test_window_over_budget_is_refused_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a strategy ran on a refused window")
+
+    big = Window(40, 40, 40)
+    bound = _auto_bound(H2L, big)
+    # over budget on the monomials only, and on the slots alone
+    closed, pages = (_work(H2L, big, bound, st) for st in (STRATEGY_CLOSED, STRATEGY_PAGES))
+    assert closed <= MAX_WORK < pages
+    assert _slot_count(*_window_box(Window(200, 200, 200))) > MAX_WORK
+    monkeypatch.setattr(hfpss, "_page_by_page", no_work)
+    monkeypatch.setattr(hfpss, "_closed_form", no_work)
+    # a heavy invertible generator makes the weight-count table itself too long;
+    # twenty invertible generators make 17^20 monomials per weight
+    heavy = RingSpec("heavy", "Z2loc", (Generator("x", 1), Generator("y", 10**9, True)),
+                     ("x",), "in_ideal")
+    many = RingSpec("many", "Z2loc", tuple(Generator(f"g{i}", 1, True) for i in range(20)),
+                    ("g0",), "invertible")
+    for spec, window, strategy in ((H2L, big, STRATEGY_PAGES), (H2L, big, STRATEGY_BOTH),
+                                   (H2L, Window(200, 200, 200), STRATEGY_CLOSED),
+                                   (heavy, Window(2, 2, 2), STRATEGY_CLOSED),
+                                   (many, Window(2, 2, 2), STRATEGY_CLOSED)):
+        with pytest.raises(ValueError, match="window too large"):
+            compute_einfty(spec, window, strategy)
+
+
+def test_weight_basis_cache_is_bounded():
+    assert weight_basis.cache_parameters()["maxsize"] == WEIGHT_BASIS_CACHE_SIZE
+
+
+def test_both_detects_a_dropped_class(monkeypatch):
+    closed_form = hfpss._closed_form
+
+    def drop_one_class(spec, window, bound):
+        out = dict(closed_form(spec, window, bound))
+        key = min(out)
+        (s, group, n), *rest = out[key]
+        out[key] = tuple(sorted(rest + ([(s, group, n - 1)] if n > 1 else [])))
+        return out
+
+    monkeypatch.setattr(hfpss, "_closed_form", drop_one_class)
+    with pytest.raises(ArithmeticError, match="strategy disagreement"):
+        compute_einfty(H2L, Window(6, 6, 6), STRATEGY_BOTH)
+
+
+def test_page_by_page_checks_degree_bookkeeping():
+    spec = ringspec_from_dict(ringspec_to_dict(H2P))
+    object.__setattr__(spec, "v_index", (1, 0))  # v_1 would be a3, of weight 3
+    with pytest.raises(ArithmeticError, match="bookkeeping"):
+        _page_by_page(spec, Window(4, 4, 4), 8)
