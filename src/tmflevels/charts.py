@@ -16,6 +16,9 @@ from .cohomology import UNKNOWN, S1Table, rank_table
 EXACT = "exact"
 NEEDS_S1 = "needs_s1"
 
+# Widest stem range one chart may span; at the budget a chart takes tens of ms.
+MAX_STEMS = 10_000
+
 
 @dataclass(frozen=True)
 class ChartEntry:
@@ -49,10 +52,13 @@ def dss_chart(n: int, stem_range: tuple[int, int], table: S1Table | None = None)
     Entries appear only at occupied spots.  If s1 is unknown for n, the two
     weight-1 spots carry marker ``needs_s1``; their rank field then holds only
     the part independent of s1 (the Eisenstein count at stem 2, zero at stem 1).
+    A range wider than ``MAX_STEMS`` is refused with ValueError.
     """
     lo, hi = stem_range
     if lo > hi:
         return Chart(n, stem_range, ())
+    if hi - lo + 1 > MAX_STEMS:
+        raise ValueError(f"chart range {lo}..{hi} spans {hi - lo + 1} stems, budget {MAX_STEMS}")
     rt = rank_table(n, _weight_window_for_stems(lo, hi), table)
     entries = []
     for stem in range(lo, hi + 1):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -165,9 +166,11 @@ def _split_row(p) -> dict:
 
 
 def _cmd_equivariant(args):
-    G = equivariant.FiniteAbelian.from_orders([int(x) for x in args.group.split(",")])
-    if G.order > equivariant.MAX_ORDER:
-        raise ValueError(f"group order {G.order} exceeds the bound {equivariant.MAX_ORDER}")
+    orders = [int(x) for x in args.group.split(",")]
+    order = math.prod(orders)  # the order of G, bounded before trial division
+    if order > equivariant.MAX_ORDER and min(orders) >= 1:
+        raise ValueError(f"group order {order} exceeds the bound {equivariant.MAX_ORDER}")
+    G = equivariant.FiniteAbelian.from_orders(orders)
     if args.prime is not None and G.rank > 1:
         raise ValueError("--prime splitting applies to cyclic groups only")
     payload = {

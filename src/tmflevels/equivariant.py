@@ -40,10 +40,10 @@ class FiniteAbelian:
     @staticmethod
     def _primary_types(orders) -> dict[int, list[int]]:
         """p -> exponents of the p-primary cyclic factors, largest first."""
+        if any(o < 1 for o in orders):  # before factorizing any of them
+            raise ValueError("cyclic orders must be >= 1")
         primary: dict[int, list[int]] = {}
         for o in orders:
-            if o < 1:
-                raise ValueError("cyclic orders must be >= 1")
             for p, e in factorize(o):
                 primary.setdefault(p, []).append(e)
         for exps in primary.values():

@@ -26,12 +26,20 @@ With h the effective height, monomial * a^s * u^m is a permanent cycle iff
 and a boundary iff mask & B(s) != 0, where B(s) has bit j-1 for each j <= h
 with s >= 2^(j+1) - 1.  Above filtration 0 the permanent cycles that are not
 boundaries survive; at filtration 0 the permanent cycles are full lattices
-and the rest index-two sublattices.  ``closed_form`` therefore counts the
-monomials of each weight by mask once and sums the passing masks per slot.
+and the rest index-two sublattices.
 
-Before either strategy runs, the work asked for (slots visited plus
-monomials touched) is counted without enumerating it, and a request above
-``MAX_WORK`` is refused with ValueError.
+Both strategies walk a box layer by layer: the slots at filtration s and
+u-exponent m have the weights c - 2m of one interval of c.  ``closed_form``
+tables each weight's counts once per (val2 class of m, B(s)).
+``page_by_page`` holds its padded region as one bitset, a bit per class: each
+(s, m) layer is a run of whole bytes indexed by a mixed-radix exponent code,
+built as a difference of per-weight prefix sums.  Every differential of a
+page adds the same shift to a bit, so a page is a few big-integer shifts.
+
+Before either strategy runs its work is counted without enumerating it:
+slots visited, plus for ``page_by_page`` the states of its region or the
+64-bit words of its bitset, whichever is more, and for ``closed_form`` the
+monomials of its distinct weights.  Above ``MAX_WORK`` it is refused.
 
 Laurent directions make homotopy infinite-rank per degree; enumeration caps
 the exponents of invertible generators at a window-derived bound.  Reported
@@ -42,9 +50,10 @@ statements are cap-independent.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 
 from . import _poly
 
@@ -72,9 +81,6 @@ class RO2Degree:
 
     def __add__(self, other: "RO2Degree") -> "RO2Degree":
         return RO2Degree(self.c + other.c, self.d + other.d)
-
-    def __sub__(self, other: "RO2Degree") -> "RO2Degree":
-        return RO2Degree(self.c - other.c, self.d - other.d)
 
 
 @dataclass(frozen=True)
@@ -287,20 +293,14 @@ def differential(spec: RingSpec, cls: PageClass, r: int) -> PageClass | None:
 def _v_mask(spec: RingSpec, exps: tuple[int, ...]) -> int:
     """v-divisibility mask of a monomial: bit j is set when v_{j+1} divides
     it (an invertible v divides everything)."""
-    mask = 0
-    for j, i in enumerate(spec.v_index):
-        if exps[i] >= 1 or spec.generators[i].invertible:
-            mask |= 1 << j
-    return mask
+    return sum(1 << j for j, i in enumerate(spec.v_index)
+               if exps[i] >= 1 or spec.generators[i].invertible)
 
 
-def _is_permanent_cycle(h: int, mask: int, m: int) -> bool:
+def _is_permanent_cycle(h: int, mask: int, e: int) -> bool:
     """Whether u^m times a monomial with v-mask ``mask`` survives its one
-    firing page: m = 0, or val2(m) >= h, or some v_j with j <= val2(m)
-    divides the monomial."""
-    if m == 0:
-        return True
-    e = _val2(m)
+    firing page, where e is val2(m), or h when m = 0: e >= h, or some v_j
+    with j <= e divides the monomial."""
     return e >= h or mask & ((1 << e) - 1) != 0
 
 
@@ -383,59 +383,61 @@ def _residues(rng: range, q: int) -> range:
     return range(rng.start + (q - rng.start) % 4, rng.stop, 4)
 
 
-def _slots(cr, dr, sr):
-    """(c, d, w, m, s) for each slot of a box: d = c - s mod 4 makes c - d - s
-    divisible by 4 and c + d + s even."""
-    for c in cr:
-        for s in sr:
-            for d in _residues(dr, c - s):
-                yield c, d, (c + d + s) // 2, (c - d - s) // 4, s
+def _layers(cr: range, dr: range, sr: range):
+    """(s, m, c_lo, c_hi) for each nonempty layer of a box.  The slots at
+    filtration s and u-exponent m are c_lo <= c <= c_hi, with d = c - s - 4m
+    and weight w = c - 2m, so a layer's weights form one interval."""
+    for s in sr:
+        for m in range(-((dr[-1] + s - cr[0]) // 4), (cr[-1] - dr[0] - s) // 4 + 1):
+            yield s, m, max(cr[0], dr[0] + s + 4 * m), min(cr[-1], dr[-1] + s + 4 * m)
+
+
+def _file(survivors: dict, s: int, m: int, c_lo: int, counts) -> None:
+    """Record a layer's survivors from the (full, half) counts of its slots
+    c = c_lo, c_lo + 1, ...; index-two sublattices (half) occur at s = 0 only."""
+    group = GROUP_Z2 if s else GROUP_Z
+    for c, (full, half) in enumerate(counts, c_lo):
+        if full or half:
+            found = survivors.setdefault((c, c - s - 4 * m), [])
+            if full:
+                found.append((s, group, full))
+            if half:
+                found.append((0, GROUP_Z_DIV2, half))
 
 
 def _closed_form(spec: RingSpec, window: Window, bound: int) -> dict:
-    """Survivors from the predicate in mask form: the monomials of each
-    weight are counted by v-mask once, and each slot sums the counts of the
-    masks that pass."""
+    """Survivors from the predicate in mask form: a slot's counts depend on
+    its weight, the val2 class of m and B(s) only, so each weight's counts
+    are tabled from its v-mask histogram once per such pair (and s = 0)."""
     h = spec.effective_height
-    cr, dr, sr = _window_box(window)
-    boundary = [_boundary_mask(h, s) for s in sr]
-    hists: dict = {}
-    survivors: dict = {}
-    for c, d, w, m, s in _slots(cr, dr, sr):
-        hist = hists.get(w)
-        if hist is None:
-            hist = hists[w] = {}
-            for exps in weight_basis(spec, w, bound):
-                mask = _v_mask(spec, exps)
-                hist[mask] = hist.get(mask, 0) + 1
-        n_total = n_cycle = n_alive = 0
-        for mask, n in hist.items():
-            n_total += n
-            if _is_permanent_cycle(h, mask, m):
-                n_cycle += n
-                if not mask & boundary[s]:
-                    n_alive += n
-        if s == 0:
-            if n_cycle:
-                survivors.setdefault((c, d), []).append((0, GROUP_Z, n_cycle))
-            if n_total - n_cycle:
-                survivors.setdefault((c, d), []).append((0, GROUP_Z_DIV2, n_total - n_cycle))
-        elif n_alive:
-            survivors.setdefault((c, d), []).append((s, GROUP_Z2, n_alive))
+    hists, tables, survivors = {}, {}, {}
+    for s, m, c_lo, c_hi in _layers(*_window_box(window)):
+        e = h if m == 0 else min(_val2(m), h)
+        boundary = _boundary_mask(h, s)
+        table = tables.setdefault((e, boundary, s == 0), {})
+        weights = range(c_lo - 2 * m, c_hi - 2 * m + 1)
+        for w in weights:
+            if w not in table:
+                if w not in hists:
+                    hists[w] = Counter(_v_mask(spec, exps) for exps in weight_basis(spec, w, bound))
+                cycles = [(mask, n) for mask, n in hists[w].items()
+                          if _is_permanent_cycle(h, mask, e)]
+                n_cycle = sum(n for _, n in cycles)
+                if s:  # the permanent cycles that are not boundaries
+                    table[w] = (sum(n for mask, n in cycles if not mask & boundary), 0)
+                else:  # full lattices, and index-two sublattices for the rest
+                    table[w] = (n_cycle, hists[w].total() - n_cycle)
+        _file(survivors, s, m, c_lo, [table[w] for w in weights])
     return {k: tuple(sorted(v)) for k, v in survivors.items()}
 
 
-def _materialize(spec: RingSpec, window: Window, bound: int) -> tuple[dict, list, list, dict]:
-    """The E2 classes of ``page_by_page``'s padded region as integer keys.
-
-    A class exps * a^s * u^m is one integer with mixed-radix digits: each
-    exponent minus its lowest possible value (with a spare value above its
-    highest, for a differential's target), then s (with room for the longest
-    page), then m on top, which needs no bound.  Returns the state (every key
-    at 1), the sources filed under val2(m), the one page each can fire on,
-    the places of the digits (one per generator, then s and m), and by weight
-    the codes of the monomials within the window's exponent cap.
-    """
+def _layout(spec: RingSpec, window: Window, bound: int):
+    """Where ``page_by_page`` keeps the class exps * a^s * u^m: bit
+    code + 8 * layer_bytes * (s * n_m + m - m_lo).  The code has a digit per
+    exponent, minus its lowest value, with a spare value above its highest
+    for a differential's target; m_lo leaves 2^(h-1) spare values below the
+    lowest m for the same reason.  Returns the padded box, the lows and
+    places of the digits, layer_bytes, m_lo and n_m."""
     h = spec.effective_height
     cr, dr, sr, pad_b = _page_box(spec, window, bound)
     # a polynomial exponent times its weight is at most the top weight plus
@@ -448,85 +450,84 @@ def _materialize(spec: RingSpec, window: Window, bound: int) -> tuple[dict, list
         lows.append(lo)
         place.append(radix)
         radix *= hi - lo + 2
-    place += [radix, radix * (sr[-1] + 2 ** (h + 1))]
-    s_place, m_place = place[-2:]
+    m_lo = -((dr[-1] + sr[-1] - cr[0]) // 4) - 2**h // 2
+    n_m = (cr[-1] - dr[0]) // 4 + 1 - m_lo
+    return (cr, dr, sr, pad_b), lows, place, -(-radix // 8), m_lo, n_m
 
-    bases: dict = {}
-    codes: dict = {}
-    keys: list = []
-    sources: list[list] = [[] for _ in range(h)]
-    for c, d, w, m, s in _slots(cr, dr, sr):
-        if w not in codes:
-            bases[w] = weight_basis(spec, w, pad_b)
-            codes[w] = [
-                sum((x - lo) * p for x, lo, p in zip(exps, lows, place)) for exps in bases[w]
-            ]
-        offset = s * s_place + m * m_place
-        slot = [x + offset for x in codes[w]]
-        keys += slot
-        if m and (e := _val2(m)) < h:
-            sources[e] += slot
-    state = dict.fromkeys(keys, 1)
 
+def _materialize(spec: RingSpec, window: Window, bound: int):
+    """The E2 classes of the padded region as one bitset, each page's row of
+    source layers (val2(m) = e), the layout, and by weight the bits of the
+    monomials within the window's exponent cap.  Weights have disjoint
+    monomials, so a layer is a difference of two prefix sums."""
+    layout = _layout(spec, window, bound)
+    (cr, dr, sr, pad_b), lows, place, layer_bytes, m_lo, n_m = layout
     inv_idx = [i for i, g in enumerate(spec.generators) if g.invertible]
-    capped = {
-        w: [x for exps, x in zip(bases[w], codes[w])
-            if all(abs(exps[i]) <= bound for i in inv_idx)]
-        for w in bases
-    }
-    return state, sources, place, capped
+    w_lo = (cr[0] + dr[0] + sr[0]) // 2
+    prefix, capped = [0], {}
+    for w in range(w_lo, (cr[-1] + dr[-1] + sr[-1]) // 2 + 1):
+        bits = cap = 0
+        for exps in weight_basis(spec, w, pad_b):
+            bit = 1 << sum((x - lo) * p for x, lo, p in zip(exps, lows, place))
+            bits |= bit
+            if all(abs(exps[i]) <= bound for i in inv_idx):
+                cap |= bit
+        prefix.append(prefix[-1] | bits)
+        capped[w] = cap
+
+    buf = bytearray(len(sr) * n_m * layer_bytes)
+    for s, m, c_lo, c_hi in _layers(cr, dr, sr):
+        at = (s * n_m + m - m_lo) * layer_bytes
+        layer = prefix[c_hi - 2 * m - w_lo + 1] - prefix[c_lo - 2 * m - w_lo]
+        buf[at:at + layer_bytes] = layer.to_bytes(layer_bytes, "little")
+    alive = int.from_bytes(buf, "little")
+
+    ones, zero = b"\xff" * layer_bytes, bytes(layer_bytes)
+    rows = [b"".join(ones if m and _val2(m) == e else zero for m in range(m_lo, m_lo + n_m))
+            for e in range(spec.effective_height)]
+    return alive, rows, layout, capped
 
 
 def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[dict, tuple[int, ...]]:
-    """Run the differentials page by page on ``_materialize``'s classes.
-
-    The d_r of a page adds one fixed shift to a source's key, so its target
-    is ``key + shift``.  State 1 is a full lattice (or F2 class) alive, 2 the
-    index-two sublattice left.
-    """
+    """Run the differentials page by page on ``_materialize``'s bitset: the
+    page's ``hit`` are the live sources whose target (bit + shift) is alive.
+    Both leave ``alive``; a source at s = 0 keeps its index-two sublattice
+    in ``half``."""
     h = spec.effective_height
-    state, sources, place, capped = _materialize(spec, window, bound)
-    s_place, m_place = place[-2:]
+    alive, rows, layout, capped = _materialize(spec, window, bound)
+    (_, _, sr, _), _, place, layer_bytes, m_lo, n_m = layout
+    layer_bits = 8 * layer_bytes
 
-    fired = []
+    half, fired = 0, []
     for e in range(h + 2):
         r = 2 ** (e + 2) - 1
-        page_fired = False
+        hit = 0
         if e < h:  # past the non-degenerate chain there is no v_{e+1}: d_r = 0
             # d_r multiplies by v_{e+1} a^r u^(-2^e), the same for every source
             idx = spec.v_index[e]
             dw, ds, dm = spec.generators[idx].weight, r, -(2**e)
             if (dw + 2 * dm, dw - 2 * dm - ds, ds) != (-1, 0, r):
                 raise ArithmeticError("differential degree bookkeeping violated")
-            shift = place[idx] + ds * s_place + dm * m_place
-            for key in sources[e]:
-                if state.get(key) != 1:
-                    continue
-                target = key + shift
-                if state.get(target) != 1:
-                    continue  # dead or unmaterialized target: differential is zero here
-                page_fired = True
-                del state[target]
-                if key % m_place < s_place:  # s == 0
-                    state[key] = 2
-                else:
-                    del state[key]
-        if page_fired:
+            shift = place[idx] + (ds * n_m + dm) * layer_bits
+            hit = alive & int.from_bytes(rows[e] * len(sr), "little") & (alive >> shift)
+            alive ^= hit | hit << shift
+            half |= hit & ((1 << n_m * layer_bits) - 1)  # the s = 0 row
+        if hit:
             if e >= h:
                 raise ArithmeticError("differential fired past the declared collapse")
             fired.append(r)
 
+    full = alive.to_bytes(len(sr) * n_m * layer_bytes, "little")
+    index_two = half.to_bytes(n_m * layer_bytes, "little")  # the s = 0 row
     survivors: dict = {}
-    for c, d, w, m, s in _slots(*_window_box(window)):
-        offset = s * s_place + m * m_place
-        alive = [state.get(x + offset) for x in capped[w]]
-        if s:
-            found = ((s, GROUP_Z2, alive.count(1)),)
-        else:
-            found = ((0, GROUP_Z, alive.count(1)), (0, GROUP_Z_DIV2, alive.count(2)))
-        for entry in found:
-            if entry[2]:
-                survivors.setdefault((c, d), []).append(entry)
+    for s, m, c_lo, c_hi in _layers(*_window_box(window)):
+        at = (s * n_m + m - m_lo) * layer_bytes
+        layer = int.from_bytes(full[at:at + layer_bytes], "little")
+        lattice = 0 if s else int.from_bytes(index_two[at:at + layer_bytes], "little")
+        _file(survivors, s, m, c_lo, [
+            ((layer & capped[w]).bit_count(), (lattice & capped[w]).bit_count())
+            for w in range(c_lo - 2 * m, c_hi - 2 * m + 1)
+        ])
     return {k: tuple(sorted(v)) for k, v in survivors.items()}, tuple(fired)
 
 
@@ -574,40 +575,39 @@ def _slot_count(cr: range, dr: range, sr: range) -> int:
 def _monomial_count(spec: RingSpec, cr, dr, sr, bound: int, per_slot: bool) -> int:
     """Monomials of the box's slot weights: summed over every slot (the
     states of ``page_by_page``) when ``per_slot``, else over the distinct
-    weights (the histograms of ``closed_form``).  One step per (c, s) pair:
-    the slots of a pair have weights w0, w0 + 2, ..., w1."""
+    weights (the histograms of ``closed_form``).  One step per layer, whose
+    weights form one interval."""
     w_lo = (cr.start + dr.start + sr.start) // 2
     counts = _weight_counts(spec, bound, w_lo, (cr[-1] + dr[-1] + sr[-1]) // 2)
-    prefix = [0, 0] + counts  # prefix[i + 2] = counts[i] + counts[i - 2] + ...
-    for i in range(2, len(prefix)):
-        prefix[i] += prefix[i - 2]
+    prefix = [0, *accumulate(counts)]
     seen = bytearray(len(counts))
     states = 0
-    for c in cr:
-        for s in sr:
-            ds = _residues(dr, c - s)
-            if ds:
-                w0, w1 = (c + ds[0] + s) // 2 - w_lo, (c + ds[-1] + s) // 2 - w_lo
-                states += prefix[w1 + 2] - prefix[w0]
-                seen[w0:w1 + 1:2] = b"\x01" * len(ds)
+    for _, m, c_lo, c_hi in _layers(cr, dr, sr):
+        w0, w1 = c_lo - 2 * m - w_lo, c_hi - 2 * m - w_lo + 1
+        states += prefix[w1] - prefix[w0]
+        seen[w0:w1] = b"\x01" * (w1 - w0)
     if per_slot:
         return states
     return sum(n for n, hit in zip(counts, seen) if hit)
 
 
 def _work(spec: RingSpec, window: Window, bound: int, strategy: str) -> int:
-    """Slots visited plus monomials touched by the strategies asked for,
-    counted without enumerating either.  Once the slots alone pass
-    ``MAX_WORK`` the monomials are not counted."""
-    boxes = []
-    if strategy != STRATEGY_CLOSED:
-        boxes.append((*_page_box(spec, window, bound), True))
-    if strategy != STRATEGY_PAGES:
-        boxes.append((*_window_box(window), bound, False))
-    work = sum(_slot_count(cr, dr, sr) for cr, dr, sr, _, _ in boxes)
+    """Slots visited plus what the strategies asked for touch, counted
+    without enumerating it: for ``page_by_page`` the states of its padded
+    region or the 64-bit words of its bitset, whichever is more, and for
+    ``closed_form`` the monomials of its distinct weights.  Once the slots
+    alone pass ``MAX_WORK`` nothing else is counted."""
+    page_box, box = _page_box(spec, window, bound), _window_box(window)
+    pages, closed = strategy != STRATEGY_CLOSED, strategy != STRATEGY_PAGES
+    work = pages * _slot_count(*page_box[:3]) + closed * _slot_count(*box)
     if work > MAX_WORK:
         return work
-    return work + sum(_monomial_count(spec, *box) for box in boxes)
+    if pages:
+        (_, _, sr, _), _, _, layer_bytes, _, n_m = _layout(spec, window, bound)
+        work += max(_monomial_count(spec, *page_box, True), -(-len(sr) * n_m * layer_bytes // 8))
+    if closed:
+        work += _monomial_count(spec, *box, bound, False)
+    return work
 
 
 def compute_einfty(

@@ -276,6 +276,35 @@ def test_equivariant_worst_accepted_orders_within_budget(group):
     assert elapsed < 0.5, f"equivariant --group {group} took {elapsed:.3f} s"
 
 
+EXTREME_ARGV = {
+    "chart-huge-range": (["chart", "--n", "23", "--range", "0..1000000000000000000000"], 1),
+    "chart-at-the-budget": (["chart", "--n", "23", "--range", "-5000..4999", "--format", "svg"], 0),
+    "group-huge-prime": (["equivariant", "--group", "1000000000000000003"], 1),
+    "group-huge-prime-and-zero": (["equivariant", "--group", "1000000000000000003,0"], 1),
+    "group-many-factors": (["equivariant", "--group", ",".join(["2"] * 1000)], 1),
+    "group-many-large-factors": (["equivariant", "--group", ",".join(["999999937"] * 100)], 1),
+    "hfpss-huge-window": (["hfpss", "--ring", "height2-laurent", "--window"] + ["1000000"] * 3, 1),
+    "hfpss-huge-filtration": (
+        ["hfpss", "--ring", "height2-poly", "--window", "0", "0", "10000000000", "--strategy", "fast"],
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EXTREME_ARGV)
+def test_extreme_inputs_finish_within_a_second(name, capsys):
+    # in-process, so no thread or process is started; an input is either
+    # answered or refused up front with exit 1 and one error line
+    argv, expected = EXTREME_ARGV[name]
+    start = time.perf_counter()
+    code, text = run(argv)
+    elapsed = time.perf_counter() - start
+    assert code == expected
+    if expected:
+        assert text == "" and capsys.readouterr().err.startswith("error: ")
+    assert elapsed < 1, f"{name} took {elapsed:.3f} s"
+
+
 def test_determinism_byte_identical():
     for argv in (
         ["duality", "--scan", "30"],

@@ -24,12 +24,13 @@ from tmflevels.hfpss import (
     Window,
     _auto_bound,
     _closed_form,
+    _layers,
+    _layout,
     _materialize,
     _monomial_count,
     _page_box,
     _page_by_page,
     _slot_count,
-    _slots,
     _window_box,
     _work,
     compute_einfty,
@@ -60,6 +61,18 @@ THREE = RingSpec(
 )
 ORACLE_RINGS = (H1, H2P, H2L, DEGENERATE, CUSTOM, INV_V1, THREE)
 ORACLE_WINDOWS = [Window(*w) for w in itertools.product((0, 1, 3, 7, 12), repeat=3)]
+
+
+ORACLE_SMALL_CAPS = list(itertools.product(
+    (Window(3, 3, 3), Window(7, 3, 12), Window(12, 7, 7)), (1, 2)
+))
+
+
+def oracle_cases(spec):
+    """The windows the oracles run on, with their exponent caps: the
+    automatic caps, then caps small enough that differentials leave the
+    materialized exponent range."""
+    return [(w, _auto_bound(spec, w)) for w in ORACLE_WINDOWS] + ORACLE_SMALL_CAPS
 
 
 def per_monomial_closed_form(spec, window, bound):
@@ -98,6 +111,71 @@ def per_monomial_closed_form(spec, window, bound):
                     found = [(s, GROUP_Z2, n)]
                 survivors.setdefault((c, d), []).extend(x for x in found if x[2])
     return {k: tuple(sorted(v)) for k, v in survivors.items() if v}
+
+
+def dict_page_by_page(spec, window, bound):
+    """The reference before the bitset rewrite: one dict entry per class,
+    keyed by a mixed-radix integer (each exponent minus its lowest value,
+    with a spare value above its highest, then s with room for the longest
+    page, then m on top), and one differential at a time.  State 1 is a full
+    lattice (or F2 class) alive, 2 the index-two sublattice left."""
+    def slots(cr, dr, sr):
+        for c in cr:
+            for s in sr:
+                for d in range(dr.start + (c - s - dr.start) % 4, dr.stop, 4):
+                    yield c, d, (c + d + s) // 2, (c - d - s) // 4, s
+
+    h = spec.effective_height
+    cr, dr, sr, pad_b = _page_box(spec, window, bound)
+    top = (cr[-1] + dr[-1] + sr[-1]) // 2
+    top += pad_b * sum(g.weight for g in spec.generators if g.invertible)
+    lows, place, radix = [], [], 1
+    for g in spec.generators:
+        lo, hi = (-pad_b, pad_b) if g.invertible else (0, max(top, 0) // g.weight)
+        lows.append(lo)
+        place.append(radix)
+        radix *= hi - lo + 2
+    s_place, m_place = radix, radix * (sr[-1] + 2 ** (h + 1))
+    bases, codes, state, sources = {}, {}, {}, [[] for _ in range(h)]
+    for c, d, w, m, s in slots(cr, dr, sr):
+        if w not in codes:
+            bases[w] = weight_basis(spec, w, pad_b)
+            codes[w] = [sum((x - lo) * p for x, lo, p in zip(exps, lows, place))
+                        for exps in bases[w]]
+        slot = [x + s * s_place + m * m_place for x in codes[w]]
+        state.update(dict.fromkeys(slot, 1))
+        if m and (m & -m).bit_length() - 1 < h:
+            sources[(m & -m).bit_length() - 1] += slot
+
+    fired = []
+    for e in range(h):
+        idx = spec.v_index[e]
+        r = 2 ** (e + 2) - 1
+        shift = place[idx] + r * s_place - 2**e * m_place
+        page_fired = False
+        for key in sources[e]:
+            if state.get(key) == 1 and state.get(key + shift) == 1:
+                page_fired = True
+                del state[key + shift]
+                if key % m_place < s_place:  # s == 0
+                    state[key] = 2
+                else:
+                    del state[key]
+        if page_fired:
+            fired.append(r)
+
+    inv_idx = [i for i, g in enumerate(spec.generators) if g.invertible]
+    survivors = {}
+    for c, d, w, m, s in slots(*_window_box(window)):
+        alive = [state.get(x + s * s_place + m * m_place)
+                 for exps, x in zip(bases[w], codes[w])
+                 if all(abs(exps[i]) <= bound for i in inv_idx)]
+        if s:
+            found = [(s, GROUP_Z2, alive.count(1))]
+        else:
+            found = [(0, GROUP_Z, alive.count(1)), (0, GROUP_Z_DIV2, alive.count(2))]
+        survivors.setdefault((c, d), []).extend(x for x in found if x[2])
+    return {k: tuple(sorted(v)) for k, v in survivors.items() if v}, tuple(fired)
 
 
 def test_presets_load_and_validate():
@@ -383,16 +461,42 @@ def test_window_validation():
 
 
 def test_strategies_equal_the_per_monomial_oracle():
-    # automatic exponent caps, then caps small enough that differentials
-    # leave the materialized exponent range
-    small_caps = list(itertools.product(
-        (Window(3, 3, 3), Window(7, 3, 12), Window(12, 7, 7)), (1, 2)
-    ))
     for spec in ORACLE_RINGS:
-        for window, bound in [(w, _auto_bound(spec, w)) for w in ORACLE_WINDOWS] + small_caps:
+        for window, bound in oracle_cases(spec):
             expected = per_monomial_closed_form(spec, window, bound)
             assert _closed_form(spec, window, bound) == expected, (spec.name, window)
             assert _page_by_page(spec, window, bound)[0] == expected, (spec.name, window)
+
+
+def test_bitset_engine_equals_the_dict_oracle():
+    for spec in ORACLE_RINGS:
+        for window, bound in oracle_cases(spec):
+            assert _page_by_page(spec, window, bound) == dict_page_by_page(spec, window, bound), (
+                spec.name, window, bound)
+
+
+def test_layout_leaves_room_below_every_target():
+    # a target has m - 2^e; below m_lo its bit would fall into the row below
+    for spec in ORACLE_RINGS:
+        for window in (Window(0, 0, 0), Window(3, 1, 7), Window(7, 12, 3), Window(12, 12, 12)):
+            (cr, dr, sr, _), _, _, _, m_lo, n_m = _layout(spec, window, _auto_bound(spec, window))
+            for s, m, _, _ in _layers(cr, dr, sr):
+                assert m_lo <= m < m_lo + n_m
+                if m and (e := (m & -m).bit_length() - 1) < spec.effective_height:
+                    assert m - 2**e >= m_lo, (spec.name, window, s, m)
+
+
+def test_both_detects_a_skipped_page(monkeypatch):
+    materialize = hfpss._materialize
+
+    def skip_page_7(spec, window, bound):
+        alive, rows, layout, capped = materialize(spec, window, bound)
+        return alive, [rows[0], b""], layout, capped
+
+    monkeypatch.setattr(hfpss, "_materialize", skip_page_7)
+    assert compute_einfty(H2L, Window(6, 6, 6), STRATEGY_PAGES).pages_fired == (3,)
+    with pytest.raises(ArithmeticError, match="strategy disagreement"):
+        compute_einfty(H2L, Window(6, 6, 6), STRATEGY_BOTH)
 
 
 def test_ringspec_derived_fields_stay_out_of_eq_hash_repr_and_dict():
@@ -411,19 +515,20 @@ def test_work_counts_what_the_strategies_touch():
             bound = _auto_bound(spec, window)
             cr, dr, sr, pad_b = _page_box(spec, window, bound)
             states = _monomial_count(spec, cr, dr, sr, pad_b, True)
-            assert states == len(_materialize(spec, window, bound)[0]), (spec.name, window)
+            assert states == _materialize(spec, window, bound)[0].bit_count(), (spec.name, window)
+            _, _, _, layer_bytes, _, n_m = _layout(spec, window, bound)
+            words = -(-len(sr) * n_m * layer_bytes // 8)
             box = _window_box(window)
-            weights = {w for _, _, w, _, _ in _slots(*box)}
+            weights = {c - 2 * m for _, m, lo, hi in _layers(*box) for c in range(lo, hi + 1)}
             monomials = _monomial_count(spec, *box, bound, False)
             assert monomials == sum(len(weight_basis(spec, w, bound)) for w in weights)
             page_slots, slots = _slot_count(cr, dr, sr), _slot_count(*box)
-            assert page_slots == len(list(_slots(cr, dr, sr)))
-            assert slots == len(list(_slots(*box)))
-            assert _work(spec, window, bound, STRATEGY_PAGES) == page_slots + states
+            assert page_slots == sum(hi - lo + 1 for _, _, lo, hi in _layers(cr, dr, sr))
+            assert slots == sum(hi - lo + 1 for _, _, lo, hi in _layers(*box))
+            pages = page_slots + max(states, words)
+            assert _work(spec, window, bound, STRATEGY_PAGES) == pages
             assert _work(spec, window, bound, STRATEGY_CLOSED) == slots + monomials
-            assert _work(spec, window, bound, STRATEGY_BOTH) == (
-                page_slots + states + slots + monomials
-            )
+            assert _work(spec, window, bound, STRATEGY_BOTH) == pages + slots + monomials
 
 
 def test_window_over_budget_is_refused_before_any_work(monkeypatch):
