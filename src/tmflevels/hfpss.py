@@ -32,13 +32,13 @@ Both strategies walk a box layer by layer: the slots at filtration s and
 u-exponent m have the weights c - 2m of one interval of c.  ``closed_form``
 tables each weight's counts once per (val2 class of m, B(s)).
 ``page_by_page`` holds its padded region as one bitset, a bit per class: each
-(s, m) layer is a run of whole bytes indexed by a mixed-radix exponent code,
-built as a difference of per-weight prefix sums.  Every differential of a
-page adds the same shift to a bit, so a page is a few big-integer shifts.
+(s, m) layer is a run of whole bytes indexed by a dense exponent code, built
+as a difference of per-weight prefix sums.  Every differential of a page
+adds the same shift to a bit, so a page is a few big-integer shifts.
 
 Before either strategy runs its work is counted without enumerating it:
 slots visited, plus for ``page_by_page`` the states of its region or the
-64-bit words of its bitset, whichever is more, and for ``closed_form`` the
+64-bit words of its bitsets, whichever is more, and for ``closed_form`` the
 monomials of its distinct weights.  Above ``MAX_WORK`` it is refused.
 
 Laurent directions make homotopy infinite-rank per degree; enumeration caps
@@ -293,8 +293,11 @@ def differential(spec: RingSpec, cls: PageClass, r: int) -> PageClass | None:
 def _v_mask(spec: RingSpec, exps: tuple[int, ...]) -> int:
     """v-divisibility mask of a monomial: bit j is set when v_{j+1} divides
     it (an invertible v divides everything)."""
-    return sum(1 << j for j, i in enumerate(spec.v_index)
-               if exps[i] >= 1 or spec.generators[i].invertible)
+    mask = 0
+    for j, i in enumerate(spec.v_index):
+        if exps[i] >= 1 or spec.generators[i].invertible:
+            mask |= 1 << j
+    return mask
 
 
 def _is_permanent_cycle(h: int, mask: int, e: int) -> bool:
@@ -432,71 +435,74 @@ def _closed_form(spec: RingSpec, window: Window, bound: int) -> dict:
 
 
 def _layout(spec: RingSpec, window: Window, bound: int):
-    """Where ``page_by_page`` keeps the class exps * a^s * u^m: bit
-    code + 8 * layer_bytes * (s * n_m + m - m_lo).  The code has a digit per
-    exponent, minus its lowest value, with a spare value above its highest
-    for a differential's target; m_lo leaves 2^(h-1) spare values below the
-    lowest m for the same reason.  Returns the padded box, the lows and
-    places of the digits, layer_bytes, m_lo and n_m."""
+    """Where ``page_by_page`` keeps exps * a^s * u^m: bit
+    code + 8 * layer_bytes * layer(s, m).  The code has a digit per v exponent
+    (minus its low, with a spare value above its high for a target), then the
+    rank of the other exponents, dense for any number of generators.
+    layer(s, m) is s * n_m + m - m_lo, or (u_hi - u) * n_m + m - m_lo with
+    u = s + 4m = c - d if u takes fewer values; m_lo leaves 2^(h-1) spare
+    values for m - 2^e.  Returns the box, the v digits' (low, place), the
+    rank's place, layer_bytes, layer's (s, m, 1) coefficients, layer count."""
     h = spec.effective_height
     cr, dr, sr, pad_b = _page_box(spec, window, bound)
+    w_lo, w_hi = (cr[0] + dr[0]) // 2, (cr[-1] + dr[-1] + sr[-1]) // 2
     # a polynomial exponent times its weight is at most the top weight plus
     # what the invertible exponents, each >= -pad_b, can take away
-    top = (cr[-1] + dr[-1] + sr[-1]) // 2
-    top += pad_b * sum(g.weight for g in spec.generators if g.invertible)
-    lows, place, radix = [], [], 1
-    for g in spec.generators:
+    top = w_hi + pad_b * sum(g.weight for g in spec.generators if g.invertible)
+    digits, radix, v_lo, v_hi = {}, 1, 0, 0
+    for i in spec.v_index:
+        g = spec.generators[i]
         lo, hi = (-pad_b, pad_b) if g.invertible else (0, max(top, 0) // g.weight)
-        lows.append(lo)
-        place.append(radix)
+        digits[i] = (lo, radix)
         radix *= hi - lo + 2
+        v_lo, v_hi = v_lo + lo * g.weight, v_hi + hi * g.weight
+    rest = [g for i, g in enumerate(spec.generators) if i not in digits]
+    n_rest = sum(_weight_counts(rest, pad_b, w_lo - v_hi, w_hi - v_lo))
     m_lo = -((dr[-1] + sr[-1] - cr[0]) // 4) - 2**h // 2
     n_m = (cr[-1] - dr[0]) // 4 + 1 - m_lo
-    return (cr, dr, sr, pad_b), lows, place, -(-radix // 8), m_lo, n_m
+    u_hi, n_u = cr[-1] - dr[0], cr[-1] - dr[0] - cr[0] + dr[-1] + 1
+    index = (n_m, 1, -m_lo) if len(sr) <= n_u else (-n_m, 1 - 4 * n_m, n_m * u_hi - m_lo)
+    return (cr, dr, sr, pad_b), digits, radix, -(-radix * n_rest // 8), index, min(len(sr), n_u) * n_m
 
 
 def _materialize(spec: RingSpec, window: Window, bound: int):
-    """The E2 classes of the padded region as one bitset, each page's row of
-    source layers (val2(m) = e), the layout, and by weight the bits of the
-    monomials within the window's exponent cap.  Weights have disjoint
-    monomials, so a layer is a difference of two prefix sums."""
+    """The padded region's E2 classes as one bitset, by layer the page e + 1
+    of its sources (val2(m) = e), the layout, and by weight the bits of the
+    monomials within the cap; a layer is a difference of two prefix sums."""
     layout = _layout(spec, window, bound)
-    (cr, dr, sr, pad_b), lows, place, layer_bytes, m_lo, n_m = layout
+    (cr, dr, sr, pad_b), digits, rank_place, layer_bytes, (a, b, base), n_layers = layout
     inv_idx = [i for i, g in enumerate(spec.generators) if g.invertible]
-    w_lo = (cr[0] + dr[0] + sr[0]) // 2
-    prefix, capped = [0], {}
+    rest_idx = [i for i in range(len(spec.generators)) if i not in digits]
+    w_lo, rank, prefix, capped = (cr[0] + dr[0]) // 2, {}, [0], {}
     for w in range(w_lo, (cr[-1] + dr[-1] + sr[-1]) // 2 + 1):
-        bits = cap = 0
+        bits, cap = bytearray(layer_bytes), bytearray(layer_bytes)
         for exps in weight_basis(spec, w, pad_b):
-            bit = 1 << sum((x - lo) * p for x, lo, p in zip(exps, lows, place))
-            bits |= bit
+            code = rank.setdefault(tuple(exps[i] for i in rest_idx), len(rank)) * rank_place
+            code += sum((exps[i] - lo) * p for i, (lo, p) in digits.items())
+            bits[code >> 3] |= 1 << (code & 7)
             if all(abs(exps[i]) <= bound for i in inv_idx):
-                cap |= bit
-        prefix.append(prefix[-1] | bits)
-        capped[w] = cap
+                cap[code >> 3] |= 1 << (code & 7)
+        prefix.append(prefix[-1] | int.from_bytes(bits, "little"))
+        capped[w] = int.from_bytes(cap, "little")
 
-    buf = bytearray(len(sr) * n_m * layer_bytes)
+    buf, pages = bytearray(n_layers * layer_bytes), bytearray(n_layers)
     for s, m, c_lo, c_hi in _layers(cr, dr, sr):
-        at = (s * n_m + m - m_lo) * layer_bytes
+        at = a * s + b * m + base
         layer = prefix[c_hi - 2 * m - w_lo + 1] - prefix[c_lo - 2 * m - w_lo]
-        buf[at:at + layer_bytes] = layer.to_bytes(layer_bytes, "little")
-    alive = int.from_bytes(buf, "little")
-
-    ones, zero = b"\xff" * layer_bytes, bytes(layer_bytes)
-    rows = [b"".join(ones if m and _val2(m) == e else zero for m in range(m_lo, m_lo + n_m))
-            for e in range(spec.effective_height)]
-    return alive, rows, layout, capped
+        buf[at * layer_bytes:(at + 1) * layer_bytes] = layer.to_bytes(layer_bytes, "little")
+        if m and _val2(m) < spec.effective_height:
+            pages[at] = _val2(m) + 1
+    return int.from_bytes(buf, "little"), bytes(pages), layout, capped
 
 
 def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[dict, tuple[int, ...]]:
-    """Run the differentials page by page on ``_materialize``'s bitset: the
-    page's ``hit`` are the live sources whose target (bit + shift) is alive.
-    Both leave ``alive``; a source at s = 0 keeps its index-two sublattice
-    in ``half``."""
+    """Run the differentials page by page on ``_materialize``'s bitset: a page's
+    ``hit``, the live sources with a live target (bit + shift), leave ``alive``;
+    at s = 0 a source's index-two sublattice stays."""
     h = spec.effective_height
-    alive, rows, layout, capped = _materialize(spec, window, bound)
-    (_, _, sr, _), _, place, layer_bytes, m_lo, n_m = layout
-    layer_bits = 8 * layer_bytes
+    alive, pages, layout, capped = _materialize(spec, window, bound)
+    _, digits, _, layer_bytes, (a, b, base), n_layers = layout
+    ones, zero = b"\xff" * layer_bytes, bytes(layer_bytes)
 
     half, fired = 0, []
     for e in range(h + 2):
@@ -508,20 +514,21 @@ def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[dict, tup
             dw, ds, dm = spec.generators[idx].weight, r, -(2**e)
             if (dw + 2 * dm, dw - 2 * dm - ds, ds) != (-1, 0, r):
                 raise ArithmeticError("differential degree bookkeeping violated")
-            shift = place[idx] + (ds * n_m + dm) * layer_bits
-            hit = alive & int.from_bytes(rows[e] * len(sr), "little") & (alive >> shift)
+            shift = digits[idx][1] + (a * ds + b * dm) * 8 * layer_bytes
+            sources = b"".join(ones if x == e + 1 else zero for x in pages)
+            hit = alive & int.from_bytes(sources, "little") & (alive >> shift)
             alive ^= hit | hit << shift
-            half |= hit & ((1 << n_m * layer_bits) - 1)  # the s = 0 row
+            half |= hit  # read at s = 0 only
         if hit:
             if e >= h:
                 raise ArithmeticError("differential fired past the declared collapse")
             fired.append(r)
 
-    full = alive.to_bytes(len(sr) * n_m * layer_bytes, "little")
-    index_two = half.to_bytes(n_m * layer_bytes, "little")  # the s = 0 row
+    full = alive.to_bytes(n_layers * layer_bytes, "little")
+    index_two = half.to_bytes(n_layers * layer_bytes, "little")
     survivors: dict = {}
     for s, m, c_lo, c_hi in _layers(*_window_box(window)):
-        at = (s * n_m + m - m_lo) * layer_bytes
+        at = (a * s + b * m + base) * layer_bytes
         layer = int.from_bytes(full[at:at + layer_bytes], "little")
         lattice = 0 if s else int.from_bytes(index_two[at:at + layer_bytes], "little")
         _file(survivors, s, m, c_lo, [
@@ -539,24 +546,21 @@ STRATEGY_BOTH = "both"
 MAX_WORK = 1_000_000
 
 
-def _weight_counts(spec: RingSpec, bound: int, w_lo: int, w_hi: int) -> list[int]:
-    """Entry w - w_lo: the number of weight-w monomials with invertible
-    exponents in [-bound, bound], for w_lo <= w <= w_hi.
-
-    The coefficient of t^(w + shift), shift = bound * (sum of invertible
-    weights), in prod_inv (1 - t^((2*bound+1)*wt)) / prod_all (1 - t^wt).
-    The table costs one step per weight and generator up to t^(w_hi + shift);
-    past ``MAX_WORK`` steps (heavy invertible generators) it is refused.
-    """
-    shift = bound * sum(g.weight for g in spec.generators if g.invertible)
+def _weight_counts(generators, bound: int, w_lo: int, w_hi: int) -> list[int]:
+    """Entry w - w_lo: the weight-w monomials in the generators with invertible
+    exponents in [-bound, bound], for w_lo <= w <= w_hi: the coefficient of
+    t^(w + shift), shift = bound * (sum of invertible weights), in
+    prod_inv (1 - t^((2*bound+1)*wt)) / prod_all (1 - t^wt).  One step per
+    weight and generator up to t^(w_hi + shift); refused past ``MAX_WORK``."""
+    shift = bound * sum(g.weight for g in generators if g.invertible)
     order = max(w_hi + shift, 0)
-    if (order + 1) * len(spec.generators) > MAX_WORK:
+    if (order + 1) * len(generators) > MAX_WORK:
         raise ValueError(
             f"hfpss window too large: a weight-count table of {order + 1} weights "
-            f"by {len(spec.generators)} generators, budget {MAX_WORK}"
+            f"by {len(generators)} generators, budget {MAX_WORK}"
         )
-    series = _poly.series_of_quotient([1], tuple(g.weight for g in spec.generators), order)
-    for g in spec.generators:
+    series = _poly.series_of_quotient([1], tuple(g.weight for g in generators), order)
+    for g in generators:
         if g.invertible:  # times 1 - t^cap: the exponent stays within [-bound, bound]
             cap = (2 * bound + 1) * g.weight
             for i in range(order, cap - 1, -1):
@@ -578,7 +582,7 @@ def _monomial_count(spec: RingSpec, cr, dr, sr, bound: int, per_slot: bool) -> i
     weights (the histograms of ``closed_form``).  One step per layer, whose
     weights form one interval."""
     w_lo = (cr.start + dr.start + sr.start) // 2
-    counts = _weight_counts(spec, bound, w_lo, (cr[-1] + dr[-1] + sr[-1]) // 2)
+    counts = _weight_counts(spec.generators, bound, w_lo, (cr[-1] + dr[-1] + sr[-1]) // 2)
     prefix = [0, *accumulate(counts)]
     seen = bytearray(len(counts))
     states = 0
@@ -593,18 +597,19 @@ def _monomial_count(spec: RingSpec, cr, dr, sr, bound: int, per_slot: bool) -> i
 
 def _work(spec: RingSpec, window: Window, bound: int, strategy: str) -> int:
     """Slots visited plus what the strategies asked for touch, counted
-    without enumerating it: for ``page_by_page`` the states of its padded
-    region or the 64-bit words of its bitset, whichever is more, and for
-    ``closed_form`` the monomials of its distinct weights.  Once the slots
-    alone pass ``MAX_WORK`` nothing else is counted."""
+    without enumerating it: for ``page_by_page`` the states of its region or
+    the 64-bit words of its bitsets (the region, and a prefix sum and capped
+    bits per weight), whichever is more, and for ``closed_form`` the
+    monomials of its distinct weights.  Past ``MAX_WORK`` in slots, only those."""
     page_box, box = _page_box(spec, window, bound), _window_box(window)
     pages, closed = strategy != STRATEGY_CLOSED, strategy != STRATEGY_PAGES
     work = pages * _slot_count(*page_box[:3]) + closed * _slot_count(*box)
     if work > MAX_WORK:
         return work
     if pages:
-        (_, _, sr, _), _, _, layer_bytes, _, n_m = _layout(spec, window, bound)
-        work += max(_monomial_count(spec, *page_box, True), -(-len(sr) * n_m * layer_bytes // 8))
+        (cr, dr, sr, _), _, _, layer_bytes, _, n_layers = _layout(spec, window, bound)
+        n_layers += 2 * ((cr[-1] + dr[-1] + sr[-1]) // 2 - (cr[0] + dr[0]) // 2 + 1)
+        work += max(_monomial_count(spec, *page_box, True), -(-n_layers * layer_bytes // 8))
     if closed:
         work += _monomial_count(spec, *box, bound, False)
     return work
@@ -619,8 +624,7 @@ def compute_einfty(
     The page-by-page run materializes a padded region (page span in
     filtration, one column per firing page in the stem direction) so homology
     at the window edge is exact; padding is computed, never configurable.
-    Before either strategy runs, their work is counted (``_work``) and a
-    request above ``MAX_WORK`` is refused with ValueError.
+    A request whose ``_work`` is above ``MAX_WORK`` is refused first (ValueError).
     """
     if strategy not in (STRATEGY_CLOSED, STRATEGY_PAGES, STRATEGY_BOTH):
         raise ValueError(f"unknown strategy: {strategy}")
@@ -640,12 +644,8 @@ def compute_einfty(
     if strategy == STRATEGY_BOTH:
         closed = _closed_form(spec, window, bound)
         if closed != pages:
-            diff_keys = {
-                k
-                for k in set(closed) | set(pages)
-                if closed.get(k) != pages.get(k)
-            }
-            raise ArithmeticError(f"strategy disagreement at degrees {sorted(diff_keys)[:5]}")
+            diff = sorted(k for k in set(closed) | set(pages) if closed.get(k) != pages.get(k))
+            raise ArithmeticError(f"strategy disagreement at degrees {diff[:5]}")
     return EinftyChart(spec.name, window, bound, collapse, fired, pages)
 
 

@@ -276,6 +276,7 @@ def test_equivariant_worst_accepted_orders_within_budget(group):
     assert elapsed < 0.5, f"equivariant --group {group} took {elapsed:.3f} s"
 
 
+TWELVE_RING = str(Path(__file__).parent / "golden" / "ring_twelve.json")
 EXTREME_ARGV = {
     "chart-huge-range": (["chart", "--n", "23", "--range", "0..1000000000000000000000"], 1),
     "chart-at-the-budget": (["chart", "--n", "23", "--range", "-5000..4999", "--format", "svg"], 0),
@@ -288,6 +289,10 @@ EXTREME_ARGV = {
         ["hfpss", "--ring", "height2-poly", "--window", "0", "0", "10000000000", "--strategy", "fast"],
         1,
     ),
+    # twelve generators: the largest accepted cube, 49 layers of 35,802 bytes
+    # with under 1 % of their bits set, and the next one, refused
+    "hfpss-many-generators": (["hfpss", "--ring", TWELVE_RING, "--window", "3", "3", "3"], 0),
+    "hfpss-many-generators-over": (["hfpss", "--ring", TWELVE_RING, "--window", "4", "4", "4"], 1),
 }
 
 

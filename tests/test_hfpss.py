@@ -60,6 +60,11 @@ THREE = RingSpec(
     ("a1", "a3", "a7"), "in_ideal",
 )
 ORACLE_RINGS = (H1, H2P, H2L, DEGENERATE, CUSTOM, INV_V1, THREE)
+TWELVE = load_ringspec(Path(__file__).parent / "golden" / "ring_twelve.json")
+INV_REST = RingSpec(
+    "inv-rest", "Z2loc", (Generator("a1", 1), Generator("a3", 3), Generator("t", 2, True)),
+    ("a1", "a3"), "in_ideal",
+)
 ORACLE_WINDOWS = [Window(*w) for w in itertools.product((0, 1, 3, 7, 12), repeat=3)]
 
 
@@ -475,23 +480,52 @@ def test_bitset_engine_equals_the_dict_oracle():
                 spec.name, window, bound)
 
 
-def test_layout_leaves_room_below_every_target():
-    # a target has m - 2^e; below m_lo its bit would fall into the row below
+def test_exponents_outside_the_v_chain_share_one_dense_digit():
+    # twelve generators: the eleven that are not v_1 are ranked, not given a
+    # digit each, so the layout stays near the states; an invertible one is
+    # ranked with its exponents beyond the cap
+    for spec, windows in ((TWELVE, (Window(0, 0, 0), Window(2, 1, 3), Window(3, 0, 0))),
+                          (INV_REST, (Window(0, 0, 0), Window(3, 3, 3), Window(7, 1, 5)))):
+        for window in windows:
+            bound = _auto_bound(spec, window)
+            expected = dict_page_by_page(spec, window, bound)
+            assert _page_by_page(spec, window, bound) == expected, (spec.name, window)
+            assert _closed_form(spec, window, bound) == expected[0], (spec.name, window)
+    zero = Window(0, 0, 0)
+    _, _, _, layer_bytes, _, _ = _layout(TWELVE, zero, _auto_bound(TWELVE, zero))
+    assert layer_bytes == 39  # v_1 exponent 0..2 and a spare, times 78 ranks
+    assert _work(TWELVE, zero, _auto_bound(TWELVE, zero), STRATEGY_BOTH) < 1000
+
+
+def test_layers_and_their_targets_have_distinct_places():
+    # a target is at (s + r, m - 2^e); it may fall past the region, but it
+    # must not share a layer with another class nor fall below layer 0;
+    # tall boxes take the u-major order, the others the s-major one
+    orders = set()
     for spec in ORACLE_RINGS:
-        for window in (Window(0, 0, 0), Window(3, 1, 7), Window(7, 12, 3), Window(12, 12, 12)):
-            (cr, dr, sr, _), _, _, _, m_lo, n_m = _layout(spec, window, _auto_bound(spec, window))
+        for window in (Window(0, 0, 0), Window(3, 1, 7), Window(7, 12, 3), Window(12, 12, 12),
+                       Window(0, 0, 40), Window(1, 2, 30)):
+            (cr, dr, sr, _), _, _, _, (a, b, base), n_layers = _layout(
+                spec, window, _auto_bound(spec, window))
+            places = {}
+            orders.add(a < 0)
             for s, m, _, _ in _layers(cr, dr, sr):
-                assert m_lo <= m < m_lo + n_m
+                assert 0 <= a * s + b * m + base < n_layers
+                places.setdefault(a * s + b * m + base, set()).add((s, m))
                 if m and (e := (m & -m).bit_length() - 1) < spec.effective_height:
-                    assert m - 2**e >= m_lo, (spec.name, window, s, m)
+                    t = (s + 2 ** (e + 2) - 1, m - 2**e)
+                    assert a * t[0] + b * t[1] + base >= 0, (spec.name, window, s, m)
+                    places.setdefault(a * t[0] + b * t[1] + base, set()).add(t)
+            assert all(len(layers) == 1 for layers in places.values()), (spec.name, window)
+    assert orders == {False, True}
 
 
 def test_both_detects_a_skipped_page(monkeypatch):
     materialize = hfpss._materialize
 
     def skip_page_7(spec, window, bound):
-        alive, rows, layout, capped = materialize(spec, window, bound)
-        return alive, [rows[0], b""], layout, capped
+        alive, pages, layout, capped = materialize(spec, window, bound)
+        return alive, pages.replace(b"\x02", b"\x00"), layout, capped
 
     monkeypatch.setattr(hfpss, "_materialize", skip_page_7)
     assert compute_einfty(H2L, Window(6, 6, 6), STRATEGY_PAGES).pages_fired == (3,)
@@ -515,9 +549,13 @@ def test_work_counts_what_the_strategies_touch():
             bound = _auto_bound(spec, window)
             cr, dr, sr, pad_b = _page_box(spec, window, bound)
             states = _monomial_count(spec, cr, dr, sr, pad_b, True)
-            assert states == _materialize(spec, window, bound)[0].bit_count(), (spec.name, window)
-            _, _, _, layer_bytes, _, n_m = _layout(spec, window, bound)
-            words = -(-len(sr) * n_m * layer_bytes // 8)
+            alive, _, layout, capped = _materialize(spec, window, bound)
+            assert states == alive.bit_count(), (spec.name, window)
+            _, _, _, layer_bytes, _, n_layers = layout
+            # the region, then a prefix sum and the capped bits per weight
+            assert alive.bit_length() <= 8 * n_layers * layer_bytes
+            assert all(bits.bit_length() <= 8 * layer_bytes for bits in capped.values())
+            words = -(-(n_layers + 2 * len(capped)) * layer_bytes // 8)
             box = _window_box(window)
             weights = {c - 2 * m for _, m, lo, hi in _layers(*box) for c in range(lo, hi + 1)}
             monomials = _monomial_count(spec, *box, bound, False)
