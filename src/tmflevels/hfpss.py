@@ -496,9 +496,8 @@ def _materialize(spec: RingSpec, window: Window, bound: int):
 
 
 def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[dict, tuple[int, ...]]:
-    """Run the differentials page by page on ``_materialize``'s bitset: a page's
-    ``hit``, the live sources with a live target (bit + shift), leave ``alive``;
-    at s = 0 a source's index-two sublattice stays."""
+    """Fire each page on ``_materialize``'s bitset: its ``hit``, the live sources
+    with a live target (bit + shift), leave ``alive``; a source at s = 0 goes to ``half``."""
     h = spec.effective_height
     alive, pages, layout, capped = _materialize(spec, window, bound)
     _, digits, _, layer_bytes, (a, b, base), n_layers = layout
@@ -606,10 +605,11 @@ def _work(spec: RingSpec, window: Window, bound: int, strategy: str) -> int:
     work = pages * _slot_count(*page_box[:3]) + closed * _slot_count(*box)
     if work > MAX_WORK:
         return work
-    if pages:
+    if pages:  # the states first: their weight-count table names every generator
+        states = _monomial_count(spec, *page_box, True)
         (cr, dr, sr, _), _, _, layer_bytes, _, n_layers = _layout(spec, window, bound)
         n_layers += 2 * ((cr[-1] + dr[-1] + sr[-1]) // 2 - (cr[0] + dr[0]) // 2 + 1)
-        work += max(_monomial_count(spec, *page_box, True), -(-n_layers * layer_bytes // 8))
+        work += max(states, -(-n_layers * layer_bytes // 8))
     if closed:
         work += _monomial_count(spec, *box, bound, False)
     return work

@@ -593,6 +593,10 @@ def test_window_over_budget_is_refused_before_any_work(monkeypatch):
                                    (many, Window(2, 2, 2), STRATEGY_CLOSED)):
         with pytest.raises(ValueError, match="window too large"):
             compute_einfty(spec, window, strategy)
+    # the reference's refusal names the whole ring's table, not that of the
+    # generators outside the v-chain
+    with pytest.raises(ValueError, match="by 2 generators"):
+        compute_einfty(heavy, Window(2, 2, 2), STRATEGY_PAGES)
 
 
 def test_weight_basis_cache_is_bounded():
