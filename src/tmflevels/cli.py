@@ -170,6 +170,8 @@ def _cmd_equivariant(args):
     order = math.prod(orders)  # the order of G, bounded before trial division
     if order > equivariant.MAX_ORDER and min(orders) >= 1:
         raise ValueError(f"group order {order} exceeds the bound {equivariant.MAX_ORDER}")
+    if args.prime is not None and args.prime > MAX_LEVEL:  # bounded before trial division
+        raise ValueError(f"prime {args.prime} exceeds the size bound {MAX_LEVEL}")
     G = equivariant.FiniteAbelian.from_orders(orders)
     if args.prime is not None and G.rank > 1:
         raise ValueError("--prime splitting applies to cyclic groups only")

@@ -16,30 +16,32 @@ monomial matching: integral lattices at filtration 0 (with an index-two
 marker when the class supports a differential) and F2 above.
 
 Two strategies are provided and must agree: ``page_by_page`` simulates the
-differentials; ``closed_form`` evaluates the survivor predicate directly.
-The predicate sees a monomial only through its v-divisibility mask, with
-bit j set when v_{j+1} divides it (an invertible v divides everything).
-With h the effective height, monomial * a^s * u^m is a permanent cycle iff
+differentials; ``closed_form`` counts the survivors directly.  The predicate
+sees a monomial only through its v-valuation l: the index of the lowest
+v_(l+1) that divides it (an invertible v divides everything), or the
+effective height h when none does.  Let e = val2(m), or h + 1 when m = 0 or
+val2(m) >= h, and b(s) = min(h, bit_length(s + 1) - 2), so that the page of
+v_j reaches filtration s iff j <= b(s).  Then monomial * a^s * u^m survives iff
 
-    m = 0,  or  val2(m) >= h,  or  mask & (2^val2(m) - 1) != 0,
+    b(s) <= l < e:
 
-and a boundary iff mask & B(s) != 0, where B(s) has bit j-1 for each j <= h
-with s >= 2^(j+1) - 1.  Above filtration 0 the permanent cycles that are not
-boundaries survive; at filtration 0 the permanent cycles are full lattices
-and the rest index-two sublattices.
+l < e makes it a permanent cycle and b(s) <= l keeps it off every image.  At
+filtration 0 the survivors are full lattices and the rest index-two
+sublattices.
 
 Both strategies walk a box layer by layer: the slots at filtration s and
 u-exponent m have the weights c - 2m of one interval of c.  ``closed_form``
-tables each weight's counts once per (val2 class of m, B(s)).
-``page_by_page`` holds its padded region as one bitset, a bit per class: each
-(s, m) layer is a run of whole bytes indexed by a dense exponent code, built
-as a difference of per-weight prefix sums.  Every differential of a page
-adds the same shift to a bit, so a page is a few big-integer shifts.
+counts each weight's monomials by valuation with one generating function
+per row (``_valuation_counts``) and tables the sums of rows once per
+(e, b(s)).  ``page_by_page`` holds its padded region as one bitset, a bit per
+class: each (s, m) layer is a run of whole bytes indexed by a dense exponent
+code, built as a difference of per-weight prefix sums.  Every differential of
+a page adds the same shift to a bit, so a page is a few big-integer shifts.
 
 Before either strategy runs its work is counted without enumerating it:
 slots visited, plus for ``page_by_page`` the states of its region or the
 64-bit words of its bitsets, whichever is more, and for ``closed_form`` the
-monomials of its distinct weights.  Above ``MAX_WORK`` it is refused.
+steps of its series.  Above ``MAX_WORK`` it is refused.
 
 Laurent directions make homotopy infinite-rank per degree; enumeration caps
 the exponents of invertible generators at a window-derived bound.  Reported
@@ -50,7 +52,6 @@ statements are cap-independent.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, product
@@ -64,7 +65,8 @@ GROUP_Z2 = "Z/2"
 TERM_INVERTIBLE = "invertible"
 TERM_IN_IDEAL = "in_ideal"
 
-# Entries kept by the weight_basis cache; a warm hfpss-windows round holds 528.
+# Entries kept by the weight_basis cache, which the reference fills and fast
+# does not; a warm hfpss-windows round holds about 290.
 WEIGHT_BASIS_CACHE_SIZE = 4096
 
 
@@ -290,29 +292,6 @@ def differential(spec: RingSpec, cls: PageClass, r: int) -> PageClass | None:
     return target
 
 
-def _v_mask(spec: RingSpec, exps: tuple[int, ...]) -> int:
-    """v-divisibility mask of a monomial: bit j is set when v_{j+1} divides
-    it (an invertible v divides everything)."""
-    mask = 0
-    for j, i in enumerate(spec.v_index):
-        if exps[i] >= 1 or spec.generators[i].invertible:
-            mask |= 1 << j
-    return mask
-
-
-def _is_permanent_cycle(h: int, mask: int, e: int) -> bool:
-    """Whether u^m times a monomial with v-mask ``mask`` survives its one
-    firing page, where e is val2(m), or h when m = 0: e >= h, or some v_j
-    with j <= e divides the monomial."""
-    return e >= h or mask & ((1 << e) - 1) != 0
-
-
-def _boundary_mask(h: int, s: int) -> int:
-    """B(s): bit j-1 for each j <= h with s >= 2^(j+1) - 1.  A class at
-    filtration s with v-mask ``mask`` is a boundary iff ``mask & B(s)``."""
-    return sum(1 << (j - 1) for j in range(1, h + 1) if s >= 2 ** (j + 1) - 1)
-
-
 @dataclass(frozen=True)
 class Window:
     """Symmetric degree rectangle |c| <= c, |d| <= d with filtration <= f."""
@@ -381,11 +360,6 @@ def _page_box(spec: RingSpec, window: Window, bound: int) -> tuple[range, range,
     )
 
 
-def _residues(rng: range, q: int) -> range:
-    """The elements of ``rng`` congruent to q mod 4."""
-    return range(rng.start + (q - rng.start) % 4, rng.stop, 4)
-
-
 def _layers(cr: range, dr: range, sr: range):
     """(s, m, c_lo, c_hi) for each nonempty layer of a box.  The slots at
     filtration s and u-exponent m are c_lo <= c <= c_hi, with d = c - s - 4m
@@ -409,28 +383,27 @@ def _file(survivors: dict, s: int, m: int, c_lo: int, counts) -> None:
 
 
 def _closed_form(spec: RingSpec, window: Window, bound: int) -> dict:
-    """Survivors from the predicate in mask form: a slot's counts depend on
-    its weight, the val2 class of m and B(s) only, so each weight's counts
-    are tabled from its v-mask histogram once per such pair (and s = 0)."""
+    """Survivors from the predicate in valuation form: a slot of weight w at
+    filtration s holds the weight-w monomials with b(s) <= l < e, and at s = 0
+    (b = -1) the rest as index-two sublattices.  Its counts are tabled over
+    the box's weights once per (e, b), as differences of ``below``."""
     h = spec.effective_height
-    hists, tables, survivors = {}, {}, {}
-    for s, m, c_lo, c_hi in _layers(*_window_box(window)):
-        e = h if m == 0 else min(_val2(m), h)
-        boundary = _boundary_mask(h, s)
-        table = tables.setdefault((e, boundary, s == 0), {})
-        weights = range(c_lo - 2 * m, c_hi - 2 * m + 1)
-        for w in weights:
-            if w not in table:
-                if w not in hists:
-                    hists[w] = Counter(_v_mask(spec, exps) for exps in weight_basis(spec, w, bound))
-                cycles = [(mask, n) for mask, n in hists[w].items()
-                          if _is_permanent_cycle(h, mask, e)]
-                n_cycle = sum(n for _, n in cycles)
-                if s:  # the permanent cycles that are not boundaries
-                    table[w] = (sum(n for mask, n in cycles if not mask & boundary), 0)
-                else:  # full lattices, and index-two sublattices for the rest
-                    table[w] = (n_cycle, hists[w].total() - n_cycle)
-        _file(survivors, s, m, c_lo, [table[w] for w in weights])
+    box = _window_box(window)
+    w_lo, w_hi = (box[0][0] + box[1][0]) // 2, (box[0][-1] + box[1][-1] + box[2][-1]) // 2
+    below = [[0] * (w_hi - w_lo + 1)]  # below[l]: by weight, the monomials of valuation < l
+    for row in _valuation_counts(spec, bound, w_lo, w_hi):
+        below.append([x + y for x, y in zip(below[-1], row)])
+    tables, survivors = {}, {}
+    for s, m, c_lo, c_hi in _layers(*box):
+        e = _val2(m) if m and _val2(m) < h else h + 1
+        b = min(h, (s + 1).bit_length() - 2)
+        if (e, b) not in tables:
+            lo = max(b, 0)
+            full = [x - y for x, y in zip(below[max(e, lo)], below[lo])]
+            half = [x - y for x, y in zip(below[h + 1], below[e])] if s == 0 else below[0]
+            tables[e, b] = list(zip(full, half))
+        i = c_lo - 2 * m - w_lo
+        _file(survivors, s, m, c_lo, tables[e, b][i:i + c_hi - c_lo + 1])
     return {k: tuple(sorted(v)) for k, v in survivors.items()}
 
 
@@ -504,23 +477,19 @@ def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[dict, tup
     ones, zero = b"\xff" * layer_bytes, bytes(layer_bytes)
 
     half, fired = 0, []
-    for e in range(h + 2):
+    for e in range(h):  # past the non-degenerate chain there is no v_{e+1}: d_r = 0
         r = 2 ** (e + 2) - 1
-        hit = 0
-        if e < h:  # past the non-degenerate chain there is no v_{e+1}: d_r = 0
-            # d_r multiplies by v_{e+1} a^r u^(-2^e), the same for every source
-            idx = spec.v_index[e]
-            dw, ds, dm = spec.generators[idx].weight, r, -(2**e)
-            if (dw + 2 * dm, dw - 2 * dm - ds, ds) != (-1, 0, r):
-                raise ArithmeticError("differential degree bookkeeping violated")
-            shift = digits[idx][1] + (a * ds + b * dm) * 8 * layer_bytes
-            sources = b"".join(ones if x == e + 1 else zero for x in pages)
-            hit = alive & int.from_bytes(sources, "little") & (alive >> shift)
-            alive ^= hit | hit << shift
-            half |= hit  # read at s = 0 only
+        # d_r multiplies by v_{e+1} a^r u^(-2^e), the same for every source
+        idx = spec.v_index[e]
+        dw, ds, dm = spec.generators[idx].weight, r, -(2**e)
+        if (dw + 2 * dm, dw - 2 * dm - ds, ds) != (-1, 0, r):
+            raise ArithmeticError("differential degree bookkeeping violated")
+        shift = digits[idx][1] + (a * ds + b * dm) * 8 * layer_bytes
+        sources = b"".join(ones if x == e + 1 else zero for x in pages)
+        hit = alive & int.from_bytes(sources, "little") & (alive >> shift)
+        alive ^= hit | hit << shift
+        half |= hit  # read at s = 0 only
         if hit:
-            if e >= h:
-                raise ArithmeticError("differential fired past the declared collapse")
             fired.append(r)
 
     full = alive.to_bytes(n_layers * layer_bytes, "little")
@@ -541,8 +510,14 @@ STRATEGY_CLOSED = "closed_form"
 STRATEGY_PAGES = "page_by_page"
 STRATEGY_BOTH = "both"
 
-# Most slots plus monomials one compute_einfty call may visit (see _work).
+# Most slots plus states, words or series steps one compute_einfty call may
+# touch (see _work).
 MAX_WORK = 1_000_000
+
+
+def _series_order(generators, bound: int, w_hi: int) -> int:
+    """The last power of t that ``_weight_counts`` builds to reach weight w_hi."""
+    return max(w_hi + bound * sum(g.weight for g in generators if g.invertible), 0)
 
 
 def _weight_counts(generators, bound: int, w_lo: int, w_hi: int) -> list[int]:
@@ -552,7 +527,7 @@ def _weight_counts(generators, bound: int, w_lo: int, w_hi: int) -> list[int]:
     prod_inv (1 - t^((2*bound+1)*wt)) / prod_all (1 - t^wt).  One step per
     weight and generator up to t^(w_hi + shift); refused past ``MAX_WORK``."""
     shift = bound * sum(g.weight for g in generators if g.invertible)
-    order = max(w_hi + shift, 0)
+    order = _series_order(generators, bound, w_hi)
     if (order + 1) * len(generators) > MAX_WORK:
         raise ValueError(
             f"hfpss window too large: a weight-count table of {order + 1} weights "
@@ -567,51 +542,67 @@ def _weight_counts(generators, bound: int, w_lo: int, w_hi: int) -> list[int]:
     return [series[w + shift] if w + shift >= 0 else 0 for w in range(w_lo, w_hi + 1)]
 
 
+def _valuation_rows(spec: RingSpec):
+    """(generators, shift) for each row l of ``_valuation_counts`` that is not
+    zero: v_1, ..., v_l are left out, and a polynomial v_(l+1) is taken at
+    least once, which shifts the row by its weight.  An invertible v_(l+1)
+    divides everything, so the rows past it are zero."""
+    h = spec.effective_height
+    for l in range(h + 1):
+        rest = tuple(g for i, g in enumerate(spec.generators) if i not in spec.v_index[:l])
+        v = spec.generators[spec.v_index[l]] if l < h else None
+        yield rest, v.weight if v and not v.invertible else 0
+        if v and v.invertible:
+            return
+
+
+def _valuation_counts(spec: RingSpec, bound: int, w_lo: int, w_hi: int) -> list[list[int]]:
+    """Row l, entry w - w_lo: the weight-w monomials (invertible exponents in
+    [-bound, bound]) of v-valuation l, that is, divisible by v_(l+1) and by
+    none of v_1, ..., v_l; row h counts those that no v divides."""
+    rows = [_weight_counts(gens, bound, w_lo - shift, w_hi - shift)
+            for gens, shift in _valuation_rows(spec)]
+    return rows + [[0] * (w_hi - w_lo + 1)] * (spec.effective_height + 1 - len(rows))
+
+
 def _slot_count(cr: range, dr: range, sr: range) -> int:
-    """Slots of a box, c = d + s mod 4, counted by residues."""
-    return sum(
-        len(_residues(cr, q + t)) * len(_residues(dr, q)) * len(_residues(sr, t))
-        for q in range(4) for t in range(4)
-    )
+    """Slots of a box, c = d + s mod 4, counted by residues in arithmetic:
+    ``len`` of a range overflows past 2^63."""
+    def n(rng, q):  # the elements of rng congruent to q mod 4
+        return max(0, (rng.stop - rng.start - (q - rng.start) % 4 + 3) // 4)
+    return sum(n(cr, q + t) * n(dr, q) * n(sr, t) for q in range(4) for t in range(4))
 
 
-def _monomial_count(spec: RingSpec, cr, dr, sr, bound: int, per_slot: bool) -> int:
-    """Monomials of the box's slot weights: summed over every slot (the
-    states of ``page_by_page``) when ``per_slot``, else over the distinct
-    weights (the histograms of ``closed_form``).  One step per layer, whose
-    weights form one interval."""
+def _monomial_count(spec: RingSpec, cr, dr, sr, bound: int) -> int:
+    """Monomials of the box's slots, summed over every slot: the states of
+    ``page_by_page``.  One step per layer, whose weights form one interval."""
     w_lo = (cr.start + dr.start + sr.start) // 2
     counts = _weight_counts(spec.generators, bound, w_lo, (cr[-1] + dr[-1] + sr[-1]) // 2)
     prefix = [0, *accumulate(counts)]
-    seen = bytearray(len(counts))
-    states = 0
-    for _, m, c_lo, c_hi in _layers(cr, dr, sr):
-        w0, w1 = c_lo - 2 * m - w_lo, c_hi - 2 * m - w_lo + 1
-        states += prefix[w1] - prefix[w0]
-        seen[w0:w1] = b"\x01" * (w1 - w0)
-    if per_slot:
-        return states
-    return sum(n for n, hit in zip(counts, seen) if hit)
+    return sum(prefix[c_hi - 2 * m - w_lo + 1] - prefix[c_lo - 2 * m - w_lo]
+               for _, m, c_lo, c_hi in _layers(cr, dr, sr))
 
 
 def _work(spec: RingSpec, window: Window, bound: int, strategy: str) -> int:
     """Slots visited plus what the strategies asked for touch, counted
     without enumerating it: for ``page_by_page`` the states of its region or
     the 64-bit words of its bitsets (the region, and a prefix sum and capped
-    bits per weight), whichever is more, and for ``closed_form`` the
-    monomials of its distinct weights.  Past ``MAX_WORK`` in slots, only those."""
+    bits per weight), whichever is more, and for ``closed_form`` the steps of
+    the series of ``_valuation_counts``.  Past ``MAX_WORK`` in slots, only those."""
     page_box, box = _page_box(spec, window, bound), _window_box(window)
     pages, closed = strategy != STRATEGY_CLOSED, strategy != STRATEGY_PAGES
     work = pages * _slot_count(*page_box[:3]) + closed * _slot_count(*box)
     if work > MAX_WORK:
         return work
     if pages:  # the states first: their weight-count table names every generator
-        states = _monomial_count(spec, *page_box, True)
+        states = _monomial_count(spec, *page_box)
         (cr, dr, sr, _), _, _, layer_bytes, _, n_layers = _layout(spec, window, bound)
         n_layers += 2 * ((cr[-1] + dr[-1] + sr[-1]) // 2 - (cr[0] + dr[0]) // 2 + 1)
         work += max(states, -(-n_layers * layer_bytes // 8))
     if closed:
-        work += _monomial_count(spec, *box, bound, False)
+        w_hi = (box[0][-1] + box[1][-1] + box[2][-1]) // 2
+        work += sum((_series_order(gens, bound, w_hi - shift) + 1) * len(gens)
+                    for gens, shift in _valuation_rows(spec))
     return work
 
 

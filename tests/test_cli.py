@@ -293,6 +293,18 @@ EXTREME_ARGV = {
     # with under 1 % of their bits set, and the next one, refused
     "hfpss-many-generators": (["hfpss", "--ring", TWELVE_RING, "--window", "3", "3", "3"], 0),
     "hfpss-many-generators-over": (["hfpss", "--ring", TWELVE_RING, "--window", "4", "4", "4"], 1),
+    # a window side past 2^63, where len() of a range overflows
+    "hfpss-window-past-ssize": (
+        ["hfpss", "--ring", "height2-laurent", "--window", "100000000000000000000", "1", "1"], 1,
+    ),
+    # the largest fast cube, whose price is nearly all slots, and the next one
+    "hfpss-fast-largest-cube": (
+        ["hfpss", "--ring", "height2-laurent", "--window", "99", "99", "99", "--strategy", "fast"], 0,
+    ),
+    "hfpss-fast-cube-over": (
+        ["hfpss", "--ring", "height2-laurent", "--window", "100", "100", "100", "--strategy", "fast"], 1,
+    ),
+    "split-huge-prime": (["equivariant", "--group", "5", "--prime", "1000000000000000003"], 1),
 }
 
 

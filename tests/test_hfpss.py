@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tmflevels import hfpss
+from tmflevels import _poly, hfpss
 from tmflevels.hfpss import (
     GROUP_Z,
     GROUP_Z2,
@@ -31,6 +31,8 @@ from tmflevels.hfpss import (
     _page_box,
     _page_by_page,
     _slot_count,
+    _valuation_counts,
+    _weight_counts,
     _window_box,
     _work,
     compute_einfty,
@@ -65,6 +67,8 @@ INV_REST = RingSpec(
     "inv-rest", "Z2loc", (Generator("a1", 1), Generator("a3", 3), Generator("t", 2, True)),
     ("a1", "a3"), "in_ideal",
 )
+MANY = RingSpec("many", "Z2loc", tuple(Generator(f"g{i}", 1, True) for i in range(20)),
+                ("g0",), "invertible")
 ORACLE_WINDOWS = [Window(*w) for w in itertools.product((0, 1, 3, 7, 12), repeat=3)]
 
 
@@ -543,12 +547,27 @@ def test_ringspec_derived_fields_stay_out_of_eq_hash_repr_and_dict():
     assert tuple(ringspec_to_dict(H2L)) == RING_KEYS
 
 
-def test_work_counts_what_the_strategies_touch():
+def series_steps(monkeypatch, run) -> int:
+    """The steps of the series built while ``run()`` runs: one per power of t
+    and generator."""
+    steps, quotient = [], _poly.series_of_quotient
+
+    def spy(num, den_exponents, order):
+        steps.append((order + 1) * len(den_exponents))
+        return quotient(num, den_exponents, order)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hfpss._poly, "series_of_quotient", spy)
+        run()
+    return sum(steps)
+
+
+def test_work_counts_what_the_strategies_touch(monkeypatch):
     for spec in (H1, H2P, H2L, DEGENERATE, CUSTOM):
         for window in (Window(0, 0, 0), Window(3, 1, 7), Window(7, 12, 3), Window(12, 12, 12)):
             bound = _auto_bound(spec, window)
             cr, dr, sr, pad_b = _page_box(spec, window, bound)
-            states = _monomial_count(spec, cr, dr, sr, pad_b, True)
+            states = _monomial_count(spec, cr, dr, sr, pad_b)
             alive, _, layout, capped = _materialize(spec, window, bound)
             assert states == alive.bit_count(), (spec.name, window)
             _, _, _, layer_bytes, _, n_layers = layout
@@ -557,16 +576,14 @@ def test_work_counts_what_the_strategies_touch():
             assert all(bits.bit_length() <= 8 * layer_bytes for bits in capped.values())
             words = -(-(n_layers + 2 * len(capped)) * layer_bytes // 8)
             box = _window_box(window)
-            weights = {c - 2 * m for _, m, lo, hi in _layers(*box) for c in range(lo, hi + 1)}
-            monomials = _monomial_count(spec, *box, bound, False)
-            assert monomials == sum(len(weight_basis(spec, w, bound)) for w in weights)
+            steps = series_steps(monkeypatch, lambda: _closed_form(spec, window, bound))
             page_slots, slots = _slot_count(cr, dr, sr), _slot_count(*box)
             assert page_slots == sum(hi - lo + 1 for _, _, lo, hi in _layers(cr, dr, sr))
             assert slots == sum(hi - lo + 1 for _, _, lo, hi in _layers(*box))
             pages = page_slots + max(states, words)
             assert _work(spec, window, bound, STRATEGY_PAGES) == pages
-            assert _work(spec, window, bound, STRATEGY_CLOSED) == slots + monomials
-            assert _work(spec, window, bound, STRATEGY_BOTH) == pages + slots + monomials
+            assert _work(spec, window, bound, STRATEGY_CLOSED) == slots + steps
+            assert _work(spec, window, bound, STRATEGY_BOTH) == pages + slots + steps
 
 
 def test_window_over_budget_is_refused_before_any_work(monkeypatch):
@@ -582,15 +599,13 @@ def test_window_over_budget_is_refused_before_any_work(monkeypatch):
     monkeypatch.setattr(hfpss, "_page_by_page", no_work)
     monkeypatch.setattr(hfpss, "_closed_form", no_work)
     # a heavy invertible generator makes the weight-count table itself too long;
-    # twenty invertible generators make 17^20 monomials per weight
+    # twenty invertible generators make 17^20 states per weight for the reference
     heavy = RingSpec("heavy", "Z2loc", (Generator("x", 1), Generator("y", 10**9, True)),
                      ("x",), "in_ideal")
-    many = RingSpec("many", "Z2loc", tuple(Generator(f"g{i}", 1, True) for i in range(20)),
-                    ("g0",), "invertible")
     for spec, window, strategy in ((H2L, big, STRATEGY_PAGES), (H2L, big, STRATEGY_BOTH),
                                    (H2L, Window(200, 200, 200), STRATEGY_CLOSED),
                                    (heavy, Window(2, 2, 2), STRATEGY_CLOSED),
-                                   (many, Window(2, 2, 2), STRATEGY_CLOSED)):
+                                   (MANY, Window(2, 2, 2), STRATEGY_PAGES)):
         with pytest.raises(ValueError, match="window too large"):
             compute_einfty(spec, window, strategy)
     # the reference's refusal names the whole ring's table, not that of the
@@ -623,3 +638,49 @@ def test_page_by_page_checks_degree_bookkeeping():
     object.__setattr__(spec, "v_index", (1, 0))  # v_1 would be a3, of weight 3
     with pytest.raises(ArithmeticError, match="bookkeeping"):
         _page_by_page(spec, Window(4, 4, 4), 8)
+
+
+def test_closed_form_enumerates_nothing(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("closed_form enumerated monomials")
+
+    expected = {(spec, window): compute_einfty(spec, window, STRATEGY_PAGES).entries
+                for spec in ORACLE_RINGS for window in (Window(0, 0, 0), Window(3, 1, 7),
+                                                        Window(7, 12, 3))}
+    monkeypatch.setattr(hfpss, "weight_basis", no_enumeration)
+    for (spec, window), entries in expected.items():
+        assert compute_einfty(spec, window, STRATEGY_CLOSED).entries == entries, (spec.name, window)
+
+
+def test_valuation_rows_count_the_monomials_by_lowest_dividing_v():
+    for spec in (*ORACLE_RINGS, TWELVE, INV_REST):
+        h = spec.effective_height
+        for bound, w_lo, w_hi in ((1, -6, 6), (3, -3, 6)):
+            rows = _valuation_counts(spec, bound, w_lo, w_hi)
+            assert len(rows) == h + 1
+            for w in range(w_lo, w_hi + 1):
+                found = [0] * (h + 1)
+                for exps in weight_basis(spec, w, bound):
+                    found[next((j for j in range(h) if spec.divides(spec.v[j], exps)), h)] += 1
+                assert [row[w - w_lo] for row in rows] == found, (spec.name, bound, w)
+            total = _weight_counts(spec.generators, bound, w_lo, w_hi)
+            assert [sum(col) for col in zip(*rows)] == total, (spec.name, bound)
+
+
+def test_closed_form_is_priced_by_its_series_steps(monkeypatch):
+    for spec in (INV_V1, THREE, TWELVE, INV_REST, MANY):
+        for window in (Window(0, 0, 0), Window(2, 2, 2), Window(5, 1, 9)):
+            bound = _auto_bound(spec, window)
+            steps = series_steps(monkeypatch, lambda: _closed_form(spec, window, bound))
+            slots = _slot_count(*_window_box(window))
+            assert _work(spec, window, bound, STRATEGY_CLOSED) == slots + steps, (spec.name, window)
+    # twenty invertible generators: the reference is refused, fast answers
+    assert compute_einfty(MANY, Window(2, 2, 2), STRATEGY_CLOSED).at(0, 0)
+
+
+def test_slot_count_takes_no_len_of_a_huge_range():
+    huge = Window(10**20, 1, 1)
+    assert _slot_count(*_window_box(huge)) > 10**20
+    assert _slot_count(*_window_box(Window(0, 0, 0))) == 1
+    with pytest.raises(ValueError, match="hfpss window too large"):
+        compute_einfty(H2L, huge, STRATEGY_CLOSED)
