@@ -111,8 +111,6 @@ def _cmd_duality(args):
     if args.n is not None:
         _check_level(args.n)
         v = duality.verdict(args.n, table)
-        if v is UNKNOWN:
-            raise ValueError(f"verdict for n={args.n} requires s1 data")
         payload = {
             "n": v.n, "self_dual": v.self_dual,
             "twist": v.twist, "l": v.shift_l, "reason": v.reason,

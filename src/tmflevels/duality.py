@@ -31,11 +31,13 @@ REASON_DEGREE_S1 = "degree_equality_plus_s1"
 REASON_NONE = "none"
 
 
-def twist(n: int, table: S1Table | None = None):
-    """The integer i with Omega^1 = omega^i on X_1(n), or None, or UNKNOWN.
+def twist(n: int, table: S1Table | None = None) -> int | None:
+    """The integer i with Omega^1 = omega^i on X_1(n), or None.
 
     Genus 0 (n >= 5): i = -2/deg(omega) when integral.  Genus 1: i = 0.
-    Higher genus: i = 1 exactly when 2g-2 = deg(omega) and s1(n) = 1.
+    Higher genus: i = 1 exactly when 2g-2 = deg(omega) and s1(n) = 1.  Those
+    levels are ``_DEGREE_EQUALITY_SET`` (complete by ``self_dual_candidates``),
+    so without s1 data for n the builtin knowledge decides.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -52,11 +54,7 @@ def twist(n: int, table: S1Table | None = None):
     s = s1(n, table)
     if s is not UNKNOWN:
         return 1 if s == 1 else None
-    if n in _DEGREE_EQUALITY_S1_ONE:
-        return 1
-    if n in _DEGREE_EQUALITY_SET:
-        return None
-    return UNKNOWN
+    return 1 if n in _DEGREE_EQUALITY_S1_ONE else None
 
 
 def degreecomp_solutions(limit: int) -> list[int]:
@@ -140,26 +138,17 @@ class DualityVerdict:
     reason: str
 
 
-def verdict(n: int, table: S1Table | None = None):
+def verdict(n: int, table: S1Table | None = None) -> DualityVerdict:
     """Self-duality verdict: shift l = 1 - 2i and, for odd n >= 3, the
     RO(C2) refinement 5 - m*rho with m = (5-l)/2."""
     i = twist(n, table)
-    if i is UNKNOWN:
-        return UNKNOWN
+    if i is None:
+        return DualityVerdict(n, None, False, None, None, REASON_NONE)
     if n <= 4:
         reason = REASON_GENUS0
     else:
-        inv = curve_invariants(n)
-        if i is None:
-            reason = REASON_NONE
-        elif inv.genus == 0:
-            reason = REASON_GENUS0
-        elif inv.genus == 1:
-            reason = REASON_GENUS1
-        else:
-            reason = REASON_DEGREE_S1
-    if i is None:
-        return DualityVerdict(n, None, False, None, None, REASON_NONE)
+        genus = curve_invariants(n).genus
+        reason = REASON_GENUS0 if genus == 0 else REASON_GENUS1 if genus == 1 else REASON_DEGREE_S1
     l = 1 - 2 * i
     c2 = None
     if n >= 3 and n % 2 == 1:
@@ -181,8 +170,6 @@ def duality_scan(limit: int, table: S1Table | None = None) -> list[DualityVerdic
         if n > limit:
             break
         v = verdict(n, table)
-        if v is UNKNOWN:
-            raise ValueError(f"verdict for n={n} needs s1 data")
         if v.self_dual:
             rows.append(v)
     return rows

@@ -33,10 +33,11 @@ Both strategies walk a box layer by layer: the slots at filtration s and
 u-exponent m have the weights c - 2m of one interval of c.  ``closed_form``
 counts each weight's monomials by valuation with one generating function
 per row (``_valuation_counts``) and tables the sums of rows once per
-(e, b(s)).  ``page_by_page`` holds its padded region as one bitset, a bit per
-class: each (s, m) layer is a run of whole bytes indexed by a dense exponent
-code, built as a difference of per-weight prefix sums.  Every differential of
-a page adds the same shift to a bit, so a page is a few big-integer shifts.
+(e, b(s)).  ``page_by_page`` holds its padded region as one bitset per (s, m)
+layer, a bit per class indexed by a dense exponent code, built as a
+difference of per-weight prefix sums.  Every differential of a page moves a
+bit by the same place into the layer a^r u^(-2^e) away, so a page is one
+shift and mask per source layer.
 
 Before either strategy runs its work is counted without enumerating it:
 slots visited, plus for ``page_by_page`` the states of its region or the
@@ -54,7 +55,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, compress
 
 from . import _poly
 
@@ -175,33 +176,38 @@ class RingSpec:
 
 @lru_cache(maxsize=WEIGHT_BASIS_CACHE_SIZE)
 def weight_basis(spec: RingSpec, w: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    """Monomial exponent tuples of weight w; invertible exponents in [-bound, bound]."""
-    inv = [(i, g.weight) for i, g in enumerate(spec.generators) if g.invertible]
-    poly = [(i, g.weight) for i, g in enumerate(spec.generators) if not g.invertible]
-    out = []
-    for inv_exps in product(range(-bound, bound + 1), repeat=len(inv)):
-        rem = w - sum(e * wt for e, (_, wt) in zip(inv_exps, inv))
-        stack = [(0, rem, ())]
-        while stack:
-            pos, need, acc = stack.pop()
-            if pos == len(poly):
-                if need == 0:
-                    exps = [0] * len(spec.generators)
-                    for (i, _), e in zip(inv, inv_exps):
-                        exps[i] = e
-                    for (i, _), e in zip(poly, acc):
-                        exps[i] = e
-                    out.append(tuple(exps))
-                continue
-            if need < 0:
-                continue
-            _, wt = poly[pos]
-            if pos == len(poly) - 1:
-                if need % wt == 0:
-                    stack.append((pos + 1, 0, acc + (need // wt,)))
-                continue
-            for e in range(need // wt + 1):
-                stack.append((pos + 1, need - e * wt, acc + (e,)))
+    """Monomial exponent tuples of weight w; invertible exponents in [-bound, bound].
+    Each exponent is taken only where the generators after it can still make
+    up the rest of w: reach[k] holds the least and the most weight that the
+    k-th generator of the walk and those after it make up (None: no most).
+    The invertible generators go first, so the polynomial ones after them see
+    a weight bounded below and the last exponent is fixed by the rest."""
+    gens = spec.generators
+    walk = sorted(range(len(gens)), key=lambda i: not gens[i].invertible)
+    reach = [(0, 0)]
+    for i in reversed(walk):
+        (lo, hi), g = reach[-1], gens[i]
+        if g.invertible:
+            reach.append((lo - bound * g.weight, None if hi is None else hi + bound * g.weight))
+        else:
+            reach.append((lo, None))
+    reach.reverse()
+    partial = {w: [()]}  # by the weight left to make up, the exponents so far
+    for i, (lo, hi) in zip(walk, reach[1:]):
+        g, grown = gens[i], {}
+        for need, accs in partial.items():
+            e_lo, e_hi = -bound if g.invertible else 0, (need - lo) // g.weight
+            if g.invertible:
+                e_hi = min(e_hi, bound)
+            if hi is not None:
+                e_lo = max(e_lo, -((hi - need) // g.weight))
+            for e in range(e_lo, e_hi + 1):
+                grown.setdefault(need - e * g.weight, []).extend([acc + (e,) for acc in accs])
+        partial = grown
+    out = partial.get(0, [])
+    if walk != sorted(walk):  # back to the order of the generators
+        at = [walk.index(i) for i in range(len(gens))]
+        out = [tuple(acc[k] for k in at) for acc in out]
     return tuple(sorted(out))
 
 
@@ -408,15 +414,11 @@ def _closed_form(spec: RingSpec, window: Window, bound: int) -> dict:
 
 
 def _layout(spec: RingSpec, window: Window, bound: int):
-    """Where ``page_by_page`` keeps exps * a^s * u^m: bit
-    code + 8 * layer_bytes * layer(s, m).  The code has a digit per v exponent
-    (minus its low, with a spare value above its high for a target), then the
-    rank of the other exponents, dense for any number of generators.
-    layer(s, m) is s * n_m + m - m_lo, or (u_hi - u) * n_m + m - m_lo with
-    u = s + 4m = c - d if u takes fewer values; m_lo leaves 2^(h-1) spare
-    values for m - 2^e.  Returns the box, the v digits' (low, place), the
-    rank's place, layer_bytes, layer's (s, m, 1) coefficients, layer count."""
-    h = spec.effective_height
+    """Where ``page_by_page`` keeps exps * a^s * u^m: bit code of layer (s, m).
+    The code has a digit per v exponent (minus its low, with a spare value
+    above its high for a target), then the rank of the other exponents, dense
+    for any number of generators.  Returns the box, the v digits' (low,
+    place), the rank's place and the bytes of a layer."""
     cr, dr, sr, pad_b = _page_box(spec, window, bound)
     w_lo, w_hi = (cr[0] + dr[0]) // 2, (cr[-1] + dr[-1] + sr[-1]) // 2
     # a polynomial exponent times its weight is at most the top weight plus
@@ -431,52 +433,43 @@ def _layout(spec: RingSpec, window: Window, bound: int):
         v_lo, v_hi = v_lo + lo * g.weight, v_hi + hi * g.weight
     rest = [g for i, g in enumerate(spec.generators) if i not in digits]
     n_rest = sum(_weight_counts(rest, pad_b, w_lo - v_hi, w_hi - v_lo))
-    m_lo = -((dr[-1] + sr[-1] - cr[0]) // 4) - 2**h // 2
-    n_m = (cr[-1] - dr[0]) // 4 + 1 - m_lo
-    u_hi, n_u = cr[-1] - dr[0], cr[-1] - dr[0] - cr[0] + dr[-1] + 1
-    index = (n_m, 1, -m_lo) if len(sr) <= n_u else (-n_m, 1 - 4 * n_m, n_m * u_hi - m_lo)
-    return (cr, dr, sr, pad_b), digits, radix, -(-radix * n_rest // 8), index, min(len(sr), n_u) * n_m
+    return (cr, dr, sr, pad_b), digits, radix, -(-radix * n_rest // 8)
 
 
 def _materialize(spec: RingSpec, window: Window, bound: int):
-    """The padded region's E2 classes as one bitset, by layer the page e + 1
-    of its sources (val2(m) = e), the layout, and by weight the bits of the
-    monomials within the cap; a layer is a difference of two prefix sums."""
+    """The padded region's E2 classes as a bitset per (s, m) layer, the
+    layout, and by weight the bits of the monomials within the cap; a layer
+    is a difference of two per-weight prefix sums."""
     layout = _layout(spec, window, bound)
-    (cr, dr, sr, pad_b), digits, rank_place, layer_bytes, (a, b, base), n_layers = layout
+    (cr, dr, sr, pad_b), digits, rank_place, layer_bytes = layout
     inv_idx = [i for i, g in enumerate(spec.generators) if g.invertible]
-    rest_idx = [i for i in range(len(spec.generators)) if i not in digits]
+    rest = [i not in digits for i in range(len(spec.generators))]
     w_lo, rank, prefix, capped = (cr[0] + dr[0]) // 2, {}, [0], {}
     for w in range(w_lo, (cr[-1] + dr[-1] + sr[-1]) // 2 + 1):
         bits, cap = bytearray(layer_bytes), bytearray(layer_bytes)
         for exps in weight_basis(spec, w, pad_b):
-            code = rank.setdefault(tuple(exps[i] for i in rest_idx), len(rank)) * rank_place
-            code += sum((exps[i] - lo) * p for i, (lo, p) in digits.items())
+            code = rank.setdefault(tuple(compress(exps, rest)), len(rank)) * rank_place
+            for i, (lo, p) in digits.items():
+                code += (exps[i] - lo) * p
             bits[code >> 3] |= 1 << (code & 7)
-            if all(abs(exps[i]) <= bound for i in inv_idx):
+            if not inv_idx or all(abs(exps[i]) <= bound for i in inv_idx):
                 cap[code >> 3] |= 1 << (code & 7)
         prefix.append(prefix[-1] | int.from_bytes(bits, "little"))
         capped[w] = int.from_bytes(cap, "little")
-
-    buf, pages = bytearray(n_layers * layer_bytes), bytearray(n_layers)
-    for s, m, c_lo, c_hi in _layers(cr, dr, sr):
-        at = a * s + b * m + base
-        layer = prefix[c_hi - 2 * m - w_lo + 1] - prefix[c_lo - 2 * m - w_lo]
-        buf[at * layer_bytes:(at + 1) * layer_bytes] = layer.to_bytes(layer_bytes, "little")
-        if m and _val2(m) < spec.effective_height:
-            pages[at] = _val2(m) + 1
-    return int.from_bytes(buf, "little"), bytes(pages), layout, capped
+    layers = {(s, m): prefix[c_hi - 2 * m - w_lo + 1] - prefix[c_lo - 2 * m - w_lo]
+              for s, m, c_lo, c_hi in _layers(cr, dr, sr)}
+    return layers, layout, capped
 
 
 def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[dict, tuple[int, ...]]:
-    """Fire each page on ``_materialize``'s bitset: its ``hit``, the live sources
-    with a live target (bit + shift), leave ``alive``; a source at s = 0 goes to ``half``."""
+    """Fire each page on ``_materialize``'s layers.  A source layer's ``hit``,
+    its live bits whose target (bit + place, in the layer a^r u^(-2^e) away)
+    is live, leaves both layers; at s = 0 it is kept in ``half``.  A target
+    layer outside the region is missing, and holds nothing."""
     h = spec.effective_height
-    alive, pages, layout, capped = _materialize(spec, window, bound)
-    _, digits, _, layer_bytes, (a, b, base), n_layers = layout
-    ones, zero = b"\xff" * layer_bytes, bytes(layer_bytes)
+    layers, (_, digits, _, _), capped = _materialize(spec, window, bound)
 
-    half, fired = 0, []
+    half, fired = {}, []
     for e in range(h):  # past the non-degenerate chain there is no v_{e+1}: d_r = 0
         r = 2 ** (e + 2) - 1
         # d_r multiplies by v_{e+1} a^r u^(-2^e), the same for every source
@@ -484,21 +477,20 @@ def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[dict, tup
         dw, ds, dm = spec.generators[idx].weight, r, -(2**e)
         if (dw + 2 * dm, dw - 2 * dm - ds, ds) != (-1, 0, r):
             raise ArithmeticError("differential degree bookkeeping violated")
-        shift = digits[idx][1] + (a * ds + b * dm) * 8 * layer_bytes
-        sources = b"".join(ones if x == e + 1 else zero for x in pages)
-        hit = alive & int.from_bytes(sources, "little") & (alive >> shift)
-        alive ^= hit | hit << shift
-        half |= hit  # read at s = 0 only
-        if hit:
+        place, page_fired = digits[idx][1], False
+        for s, m in [key for key in layers if _val2(key[1]) == e]:
+            src, tgt = layers[s, m], layers.get((s + ds, m + dm), 0)
+            if hit := src & (tgt >> place):
+                layers[s, m], layers[s + ds, m + dm] = src ^ hit, tgt ^ hit << place
+                if s == 0:
+                    half[m] = hit
+                page_fired = True
+        if page_fired:
             fired.append(r)
 
-    full = alive.to_bytes(n_layers * layer_bytes, "little")
-    index_two = half.to_bytes(n_layers * layer_bytes, "little")
     survivors: dict = {}
     for s, m, c_lo, c_hi in _layers(*_window_box(window)):
-        at = (a * s + b * m + base) * layer_bytes
-        layer = int.from_bytes(full[at:at + layer_bytes], "little")
-        lattice = 0 if s else int.from_bytes(index_two[at:at + layer_bytes], "little")
+        layer, lattice = layers[s, m], 0 if s else half.get(m, 0)
         _file(survivors, s, m, c_lo, [
             ((layer & capped[w]).bit_count(), (lattice & capped[w]).bit_count())
             for w in range(c_lo - 2 * m, c_hi - 2 * m + 1)
@@ -573,30 +565,34 @@ def _slot_count(cr: range, dr: range, sr: range) -> int:
     return sum(n(cr, q + t) * n(dr, q) * n(sr, t) for q in range(4) for t in range(4))
 
 
-def _monomial_count(spec: RingSpec, cr, dr, sr, bound: int) -> int:
+def _monomial_count(spec: RingSpec, cr, dr, sr, bound: int) -> tuple[int, int]:
     """Monomials of the box's slots, summed over every slot: the states of
-    ``page_by_page``.  One step per layer, whose weights form one interval."""
+    ``page_by_page``, and its layers.  One step per layer, whose weights form
+    one interval."""
     w_lo = (cr.start + dr.start + sr.start) // 2
     counts = _weight_counts(spec.generators, bound, w_lo, (cr[-1] + dr[-1] + sr[-1]) // 2)
-    prefix = [0, *accumulate(counts)]
-    return sum(prefix[c_hi - 2 * m - w_lo + 1] - prefix[c_lo - 2 * m - w_lo]
-               for _, m, c_lo, c_hi in _layers(cr, dr, sr))
+    prefix, states, n_layers = [0, *accumulate(counts)], 0, 0
+    for _, m, c_lo, c_hi in _layers(cr, dr, sr):
+        states += prefix[c_hi - 2 * m - w_lo + 1] - prefix[c_lo - 2 * m - w_lo]
+        n_layers += 1
+    return states, n_layers
 
 
 def _work(spec: RingSpec, window: Window, bound: int, strategy: str) -> int:
     """Slots visited plus what the strategies asked for touch, counted
     without enumerating it: for ``page_by_page`` the states of its region or
-    the 64-bit words of its bitsets (the region, and a prefix sum and capped
-    bits per weight), whichever is more, and for ``closed_form`` the steps of
-    the series of ``_valuation_counts``.  Past ``MAX_WORK`` in slots, only those."""
+    the 64-bit words of its bitsets (one per layer of the region, and a prefix
+    sum and capped bits per weight), whichever is more, and for
+    ``closed_form`` the steps of the series of ``_valuation_counts``.  Past
+    ``MAX_WORK`` in slots, only those."""
     page_box, box = _page_box(spec, window, bound), _window_box(window)
     pages, closed = strategy != STRATEGY_CLOSED, strategy != STRATEGY_PAGES
     work = pages * _slot_count(*page_box[:3]) + closed * _slot_count(*box)
     if work > MAX_WORK:
         return work
     if pages:  # the states first: their weight-count table names every generator
-        states = _monomial_count(spec, *page_box)
-        (cr, dr, sr, _), _, _, layer_bytes, _, n_layers = _layout(spec, window, bound)
+        states, n_layers = _monomial_count(spec, *page_box)
+        (cr, dr, sr, _), _, _, layer_bytes = _layout(spec, window, bound)
         n_layers += 2 * ((cr[-1] + dr[-1] + sr[-1]) // 2 - (cr[0] + dr[0]) // 2 + 1)
         work += max(states, -(-n_layers * layer_bytes // 8))
     if closed:

@@ -140,7 +140,6 @@ def shift_polynomial(n: int, base: Base, table: S1Table | None = None):
 class Symmetry(Enum):
     SYMMETRIC = "symmetric"
     NOT_APPLICABLE = "not-applicable"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -165,8 +164,6 @@ def rational_multiplicities(n: int, table: S1Table | None = None):
     if isinstance(q, NoSplitting):
         return q
     i = twist(n, table)
-    if i is UNKNOWN:
-        return RationalSplit(q, Symmetry.UNKNOWN, None)
     if i is None:
         return RationalSplit(q, Symmetry.NOT_APPLICABLE, None)
     coeffs = q.as_list()

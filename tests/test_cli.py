@@ -289,10 +289,18 @@ EXTREME_ARGV = {
         ["hfpss", "--ring", "height2-poly", "--window", "0", "0", "10000000000", "--strategy", "fast"],
         1,
     ),
-    # twelve generators: the largest accepted cube, 49 layers of 35,802 bytes
-    # with under 1 % of their bits set, and the next one, refused
-    "hfpss-many-generators": (["hfpss", "--ring", TWELVE_RING, "--window", "3", "3", "3"], 0),
-    "hfpss-many-generators-over": (["hfpss", "--ring", TWELVE_RING, "--window", "4", "4", "4"], 1),
+    # twelve generators: the largest accepted cube, 42 layers of 94,478 bytes
+    # with under 2 % of their bits set, and the next one, refused
+    "hfpss-many-generators": (["hfpss", "--ring", TWELVE_RING, "--window", "4", "4", "4"], 0),
+    "hfpss-many-generators-over": (["hfpss", "--ring", TWELVE_RING, "--window", "5", "5", "5"], 1),
+    # long flat windows of a Laurent ring: one candidate exponent per weight,
+    # not every one within the cap
+    "hfpss-laurent-flat-d-reference": (
+        ["hfpss", "--ring", "height1-laurent", "--window", "0", "3898", "0", "--strategy", "reference"],
+        0,
+    ),
+    "hfpss-laurent-flat-d-both": (["hfpss", "--ring", "height1-laurent", "--window", "0", "3890", "0"], 0),
+    "hfpss-laurent-flat-f-both": (["hfpss", "--ring", "height1-laurent", "--window", "0", "0", "5280"], 0),
     # a window side past 2^63, where len() of a range overflows
     "hfpss-window-past-ssize": (
         ["hfpss", "--ring", "height2-laurent", "--window", "100000000000000000000", "1", "1"], 1,

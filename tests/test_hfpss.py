@@ -219,6 +219,21 @@ def test_weight_basis_poly():
     assert weight_basis(H2P, -1, 8) == ()
 
 
+def test_weight_basis_equals_a_brute_force_filter():
+    # every exponent tuple of a box that holds all the solutions, kept when
+    # its weight is w; polynomial exponents reach the top weight plus what
+    # the invertible ones can take away
+    for spec in (*ORACLE_RINGS, INV_REST):
+        for bound in (1, 2, 3):
+            top = 6 + bound * sum(g.weight for g in spec.generators if g.invertible)
+            ranges = [range(-bound, bound + 1) if g.invertible else range(top // g.weight + 1)
+                      for g in spec.generators]
+            for w in range(-6, 7):
+                brute = tuple(exps for exps in itertools.product(*ranges)
+                              if sum(e * g.weight for e, g in zip(exps, spec.generators)) == w)
+                assert weight_basis(spec, w, bound) == brute, (spec.name, bound, w)
+
+
 def test_ringspec_validation():
     with pytest.raises(ValueError):
         RingSpec("bad", "Z2loc", (Generator("x", 1), Generator("x", 2)), ("x",), "in_ideal")
@@ -496,40 +511,31 @@ def test_exponents_outside_the_v_chain_share_one_dense_digit():
             assert _page_by_page(spec, window, bound) == expected, (spec.name, window)
             assert _closed_form(spec, window, bound) == expected[0], (spec.name, window)
     zero = Window(0, 0, 0)
-    _, _, _, layer_bytes, _, _ = _layout(TWELVE, zero, _auto_bound(TWELVE, zero))
+    _, _, _, layer_bytes = _layout(TWELVE, zero, _auto_bound(TWELVE, zero))
     assert layer_bytes == 39  # v_1 exponent 0..2 and a spare, times 78 ranks
     assert _work(TWELVE, zero, _auto_bound(TWELVE, zero), STRATEGY_BOTH) < 1000
 
 
-def test_layers_and_their_targets_have_distinct_places():
-    # a target is at (s + r, m - 2^e); it may fall past the region, but it
-    # must not share a layer with another class nor fall below layer 0;
-    # tall boxes take the u-major order, the others the s-major one
-    orders = set()
+def test_materialized_layers_are_the_page_box_layers():
+    # a bitset for each layer of the padded region, and so for each layer of
+    # the window
     for spec in ORACLE_RINGS:
         for window in (Window(0, 0, 0), Window(3, 1, 7), Window(7, 12, 3), Window(12, 12, 12),
                        Window(0, 0, 40), Window(1, 2, 30)):
-            (cr, dr, sr, _), _, _, _, (a, b, base), n_layers = _layout(
-                spec, window, _auto_bound(spec, window))
-            places = {}
-            orders.add(a < 0)
-            for s, m, _, _ in _layers(cr, dr, sr):
-                assert 0 <= a * s + b * m + base < n_layers
-                places.setdefault(a * s + b * m + base, set()).add((s, m))
-                if m and (e := (m & -m).bit_length() - 1) < spec.effective_height:
-                    t = (s + 2 ** (e + 2) - 1, m - 2**e)
-                    assert a * t[0] + b * t[1] + base >= 0, (spec.name, window, s, m)
-                    places.setdefault(a * t[0] + b * t[1] + base, set()).add(t)
-            assert all(len(layers) == 1 for layers in places.values()), (spec.name, window)
-    assert orders == {False, True}
+            bound = _auto_bound(spec, window)
+            layers, _, _ = _materialize(spec, window, bound)
+            cr, dr, sr, _ = _page_box(spec, window, bound)
+            assert list(layers) == [(s, m) for s, m, _, _ in _layers(cr, dr, sr)], (spec.name, window)
+            assert {(s, m) for s, m, _, _ in _layers(*_window_box(window))} <= set(layers)
 
 
 def test_both_detects_a_skipped_page(monkeypatch):
     materialize = hfpss._materialize
 
     def skip_page_7(spec, window, bound):
-        alive, pages, layout, capped = materialize(spec, window, bound)
-        return alive, pages.replace(b"\x02", b"\x00"), layout, capped
+        layers, layout, capped = materialize(spec, window, bound)
+        # clear the sources of page 7, the layers with val2(m) = 1
+        return {(s, m): 0 if m % 4 == 2 else bits for (s, m), bits in layers.items()}, layout, capped
 
     monkeypatch.setattr(hfpss, "_materialize", skip_page_7)
     assert compute_einfty(H2L, Window(6, 6, 6), STRATEGY_PAGES).pages_fired == (3,)
@@ -567,12 +573,13 @@ def test_work_counts_what_the_strategies_touch(monkeypatch):
         for window in (Window(0, 0, 0), Window(3, 1, 7), Window(7, 12, 3), Window(12, 12, 12)):
             bound = _auto_bound(spec, window)
             cr, dr, sr, pad_b = _page_box(spec, window, bound)
-            states = _monomial_count(spec, cr, dr, sr, pad_b)
-            alive, _, layout, capped = _materialize(spec, window, bound)
-            assert states == alive.bit_count(), (spec.name, window)
-            _, _, _, layer_bytes, _, n_layers = layout
-            # the region, then a prefix sum and the capped bits per weight
-            assert alive.bit_length() <= 8 * n_layers * layer_bytes
+            states, n_layers = _monomial_count(spec, cr, dr, sr, pad_b)
+            layers, layout, capped = _materialize(spec, window, bound)
+            assert states == sum(bits.bit_count() for bits in layers.values()), (spec.name, window)
+            assert n_layers == len(layers), (spec.name, window)
+            _, _, _, layer_bytes = layout
+            # a bitset per layer, then a prefix sum and the capped bits per weight
+            assert all(bits.bit_length() <= 8 * layer_bytes for bits in layers.values())
             assert all(bits.bit_length() <= 8 * layer_bytes for bits in capped.values())
             words = -(-(n_layers + 2 * len(capped)) * layer_bytes // 8)
             box = _window_box(window)
