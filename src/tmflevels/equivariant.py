@@ -272,9 +272,9 @@ def cyclic_full_split(n: int, l: int, table: S1Table | None = None):
     TMF at a prime l not dividing n, plus one unit copy."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    base = base_for_prime(l)  # first: a non-prime l must not be reported as dividing n
     if l != 0 and n % l == 0:
         raise ValueError(f"prime l={l} must not divide n={n}")
-    base = base_for_prime(l)
     e1, e2 = base.exponents
     parts = []
     for k in divisors(n):

@@ -39,6 +39,15 @@ difference of per-weight prefix sums.  Every differential of a page moves a
 bit by the same place into the layer a^r u^(-2^e) away, so a page is one
 shift and mask per source layer.
 
+Each strategy reads out only the window's layers that hold a class, decided
+from its own data: ``closed_form`` skips the layers whose (e, b(s)) table is
+zero at every weight, and ``page_by_page`` those whose live bits (and at
+s = 0 its index-two lattice) miss the capped bits of the layer's weights,
+one difference of a prefix sum.  A skipped layer has no nonzero count, and
+only nonzero counts are filed, so the chart cannot change.  Layers are
+walked by s, so a degree's classes come out sorted: s ascending, and Z
+before Z_div2.
+
 Before either strategy runs its work is counted without enumerating it:
 slots visited, plus for ``page_by_page`` the states of its region or the
 64-bit words of its bitsets, whichever is more, and for ``closed_form`` the
@@ -407,10 +416,11 @@ def _closed_form(spec: RingSpec, window: Window, bound: int) -> dict:
             lo = max(b, 0)
             full = [x - y for x, y in zip(below[max(e, lo)], below[lo])]
             half = [x - y for x, y in zip(below[h + 1], below[e])] if s == 0 else below[0]
-            tables[e, b] = list(zip(full, half))
-        i = c_lo - 2 * m - w_lo
-        _file(survivors, s, m, c_lo, tables[e, b][i:i + c_hi - c_lo + 1])
-    return {k: tuple(sorted(v)) for k, v in survivors.items()}
+            tables[e, b] = list(zip(full, half)) if any(full) or any(half) else None
+        if table := tables[e, b]:  # None: no layer of this kind holds a class
+            i = c_lo - 2 * m - w_lo
+            _file(survivors, s, m, c_lo, table[i:i + c_hi - c_lo + 1])
+    return {k: tuple(v) for k, v in survivors.items()}
 
 
 def _layout(spec: RingSpec, window: Window, bound: int):
@@ -438,13 +448,15 @@ def _layout(spec: RingSpec, window: Window, bound: int):
 
 def _materialize(spec: RingSpec, window: Window, bound: int):
     """The padded region's E2 classes as a bitset per (s, m) layer, the
-    layout, and by weight the bits of the monomials within the cap; a layer
-    is a difference of two per-weight prefix sums."""
+    layout, and the bits of the monomials within the cap as a prefix sum over
+    the weights from the region's lowest.  A layer is a difference of two
+    prefix sums of all bits, and so is the capped mask of any run of weights:
+    codes of different weights are disjoint."""
     layout = _layout(spec, window, bound)
     (cr, dr, sr, pad_b), digits, rank_place, layer_bytes = layout
     inv_idx = [i for i, g in enumerate(spec.generators) if g.invertible]
     rest = [i not in digits for i in range(len(spec.generators))]
-    w_lo, rank, prefix, capped = (cr[0] + dr[0]) // 2, {}, [0], {}
+    w_lo, rank, prefix, capped = (cr[0] + dr[0]) // 2, {}, [0], [0]
     for w in range(w_lo, (cr[-1] + dr[-1] + sr[-1]) // 2 + 1):
         bits, cap = bytearray(layer_bytes), bytearray(layer_bytes)
         for exps in weight_basis(spec, w, pad_b):
@@ -455,7 +467,7 @@ def _materialize(spec: RingSpec, window: Window, bound: int):
             if not inv_idx or all(abs(exps[i]) <= bound for i in inv_idx):
                 cap[code >> 3] |= 1 << (code & 7)
         prefix.append(prefix[-1] | int.from_bytes(bits, "little"))
-        capped[w] = int.from_bytes(cap, "little")
+        capped.append(capped[-1] | int.from_bytes(cap, "little"))
     layers = {(s, m): prefix[c_hi - 2 * m - w_lo + 1] - prefix[c_lo - 2 * m - w_lo]
               for s, m, c_lo, c_hi in _layers(cr, dr, sr)}
     return layers, layout, capped
@@ -467,7 +479,10 @@ def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[dict, tup
     is live, leaves both layers; at s = 0 it is kept in ``half``.  A target
     layer outside the region is missing, and holds nothing."""
     h = spec.effective_height
-    layers, (_, digits, _, _), capped = _materialize(spec, window, bound)
+    layers, (box, digits, _, _), capped = _materialize(spec, window, bound)
+    sources: dict = {}  # page e fires from the layers with val2(m) = e
+    for key in layers:
+        sources.setdefault(_val2(key[1]), []).append(key)
 
     half, fired = {}, []
     for e in range(h):  # past the non-degenerate chain there is no v_{e+1}: d_r = 0
@@ -478,8 +493,10 @@ def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[dict, tup
         if (dw + 2 * dm, dw - 2 * dm - ds, ds) != (-1, 0, r):
             raise ArithmeticError("differential degree bookkeeping violated")
         place, page_fired = digits[idx][1], False
-        for s, m in [key for key in layers if _val2(key[1]) == e]:
-            src, tgt = layers[s, m], layers.get((s + ds, m + dm), 0)
+        for s, m in sources.get(e, ()):
+            if not (src := layers[s, m]):
+                continue
+            tgt = layers.get((s + ds, m + dm), 0)
             if hit := src & (tgt >> place):
                 layers[s, m], layers[s + ds, m + dm] = src ^ hit, tgt ^ hit << place
                 if s == 0:
@@ -489,13 +506,17 @@ def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[dict, tup
             fired.append(r)
 
     survivors: dict = {}
+    w_lo = (box[0][0] + box[1][0]) // 2
     for s, m, c_lo, c_hi in _layers(*_window_box(window)):
+        lo, hi = c_lo - 2 * m - w_lo, c_hi - 2 * m - w_lo + 1
         layer, lattice = layers[s, m], 0 if s else half.get(m, 0)
+        if not (layer | lattice) & (capped[hi] - capped[lo]):
+            continue  # no class of this layer is within the cap
         _file(survivors, s, m, c_lo, [
-            ((layer & capped[w]).bit_count(), (lattice & capped[w]).bit_count())
-            for w in range(c_lo - 2 * m, c_hi - 2 * m + 1)
+            ((layer & (cap := capped[i + 1] - capped[i])).bit_count(), (lattice & cap).bit_count())
+            for i in range(lo, hi)
         ])
-    return {k: tuple(sorted(v)) for k, v in survivors.items()}, tuple(fired)
+    return {k: tuple(v) for k, v in survivors.items()}, tuple(fired)
 
 
 STRATEGY_CLOSED = "closed_form"
@@ -581,10 +602,10 @@ def _monomial_count(spec: RingSpec, cr, dr, sr, bound: int) -> tuple[int, int]:
 def _work(spec: RingSpec, window: Window, bound: int, strategy: str) -> int:
     """Slots visited plus what the strategies asked for touch, counted
     without enumerating it: for ``page_by_page`` the states of its region or
-    the 64-bit words of its bitsets (one per layer of the region, and a prefix
-    sum and capped bits per weight), whichever is more, and for
-    ``closed_form`` the steps of the series of ``_valuation_counts``.  Past
-    ``MAX_WORK`` in slots, only those."""
+    the 64-bit words of its bitsets (one per layer of the region, and per
+    weight an entry of the prefix sums of all and of capped bits), whichever
+    is more, and for ``closed_form`` the steps of the series of
+    ``_valuation_counts``.  Past ``MAX_WORK`` in slots, only those."""
     page_box, box = _page_box(spec, window, bound), _window_box(window)
     pages, closed = strategy != STRATEGY_CLOSED, strategy != STRATEGY_PAGES
     work = pages * _slot_count(*page_box[:3]) + closed * _slot_count(*box)

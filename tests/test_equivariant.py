@@ -225,6 +225,13 @@ def test_cyclic_full_split_n15_all_known():
 def test_cyclic_full_split_preconditions():
     with pytest.raises(ValueError):
         cyclic_full_split(6, 2)
+    # l is checked for primality before divisibility, so a non-prime that
+    # divides n is reported as not a prime
+    for n, l in ((8, 4), (7, 1), (6, 6)):
+        with pytest.raises(ValueError, match="not a prime"):
+            cyclic_full_split(n, l)
+    with pytest.raises(ValueError, match="must not divide"):
+        cyclic_full_split(6, 3)
 
 
 def test_elements_product_order():

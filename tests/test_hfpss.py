@@ -492,6 +492,49 @@ def test_strategies_equal_the_per_monomial_oracle():
             assert _page_by_page(spec, window, bound)[0] == expected, (spec.name, window)
 
 
+def test_strategies_equal_the_oracle_far_above_the_vanishing_line():
+    # most layers of these windows hold no class, and both strategies skip
+    # them; height2-poly and height1-poly have no vanishing line
+    for spec, windows in ((H1, (Window(6, 5, 40), Window(0, 9, 40))),
+                          (H2L, (Window(5, 4, 30), Window(1, 7, 30))),
+                          (H2P, (Window(4, 3, 30), Window(0, 6, 40))),
+                          (CUSTOM, (Window(5, 4, 30), Window(1, 7, 40)))):
+        for window in windows:
+            bound = _auto_bound(spec, window)
+            expected = per_monomial_closed_form(spec, window, bound)
+            assert _closed_form(spec, window, bound) == expected, (spec.name, window)
+            assert _page_by_page(spec, window, bound)[0] == expected, (spec.name, window)
+
+
+def occupied_layers(entries) -> set:
+    """The (s, m) layers that hold a class of a chart's entries."""
+    return {(s, (c - d - s) // 4) for (c, d), classes in entries.items() for s, _, _ in classes}
+
+
+def test_readout_files_only_the_layers_that_hold_a_class(monkeypatch):
+    window = Window(24, 24, 25)
+    bound = _auto_bound(H1, window)
+    n_layers = sum(1 for _ in _layers(*_window_box(window)))
+    for strategy in (_page_by_page, _closed_form):
+        filed, file = [], hfpss._file
+        with monkeypatch.context() as patch:
+            patch.setattr(hfpss, "_file", lambda *args: (filed.append(args[1:3]), file(*args)))
+            out = strategy(H1, window, bound)
+        entries = out[0] if strategy is _page_by_page else out
+        assert len(filed) == len(set(filed)) == len(occupied_layers(entries)), strategy.__name__
+        assert set(filed) == occupied_layers(entries)
+        assert len(filed) < n_layers == 631
+
+
+def test_chart_classes_come_out_sorted():
+    # both strategies file a degree's classes by s, then Z before Z_div2
+    for spec in ORACLE_RINGS:
+        for window in (Window(3, 1, 7), Window(7, 12, 3), Window(12, 12, 12), Window(2, 5, 30)):
+            for strategy in (STRATEGY_CLOSED, STRATEGY_PAGES):
+                for classes in compute_einfty(spec, window, strategy).entries.values():
+                    assert classes and list(classes) == sorted(classes), (spec.name, window)
+
+
 def test_bitset_engine_equals_the_dict_oracle():
     for spec in ORACLE_RINGS:
         for window, bound in oracle_cases(spec):
@@ -578,10 +621,12 @@ def test_work_counts_what_the_strategies_touch(monkeypatch):
             assert states == sum(bits.bit_count() for bits in layers.values()), (spec.name, window)
             assert n_layers == len(layers), (spec.name, window)
             _, _, _, layer_bytes = layout
-            # a bitset per layer, then a prefix sum and the capped bits per weight
+            # a bitset per layer, then per weight a prefix sum of all bits and
+            # one of the capped bits, after the empty prefix
+            assert capped[0] == 0
             assert all(bits.bit_length() <= 8 * layer_bytes for bits in layers.values())
-            assert all(bits.bit_length() <= 8 * layer_bytes for bits in capped.values())
-            words = -(-(n_layers + 2 * len(capped)) * layer_bytes // 8)
+            assert all(bits.bit_length() <= 8 * layer_bytes for bits in capped)
+            words = -(-(n_layers + 2 * (len(capped) - 1)) * layer_bytes // 8)
             box = _window_box(window)
             steps = series_steps(monkeypatch, lambda: _closed_form(spec, window, bound))
             page_slots, slots = _slot_count(cr, dr, sr), _slot_count(*box)
