@@ -23,7 +23,6 @@ STACKY_TWISTS = {1: -10, 2: -6, 3: -4, 4: -3}
 # Degree-equality levels (f(n) = 12 g(n)) whose weight-1 cusp space is known to
 # be one-dimensional; among the six solutions only n=23 qualifies.
 _DEGREE_EQUALITY_S1_ONE = frozenset({23})
-_DEGREE_EQUALITY_SET = frozenset({23, 32, 33, 35, 40, 42})
 
 REASON_GENUS0 = "genus0_degree"
 REASON_GENUS1 = "genus1"
@@ -36,8 +35,9 @@ def twist(n: int, table: S1Table | None = None) -> int | None:
 
     Genus 0 (n >= 5): i = -2/deg(omega) when integral.  Genus 1: i = 0.
     Higher genus: i = 1 exactly when 2g-2 = deg(omega) and s1(n) = 1.  Those
-    levels are ``_DEGREE_EQUALITY_SET`` (complete by ``self_dual_candidates``),
-    so without s1 data for n the builtin knowledge decides.
+    levels are ``degreecomp_solutions(42)`` (complete by
+    ``self_dual_candidates``), so without s1 data for n the builtin knowledge
+    decides.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

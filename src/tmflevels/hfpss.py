@@ -35,9 +35,12 @@ counts each weight's monomials by valuation with one generating function
 per row (``_valuation_counts``) and tables the sums of rows once per
 (e, b(s)).  ``page_by_page`` holds its padded region as one bitset per (s, m)
 layer, a bit per class indexed by a dense exponent code, built as a
-difference of per-weight prefix sums.  Every differential of a page moves a
-bit by the same place into the layer a^r u^(-2^e) away, so a page is one
-shift and mask per source layer.
+difference of per-weight prefix sums.  It lists no monomial either: one
+series in t and x = 2^place gives each weight's codes of the v exponents,
+and two more count the monomials in the other generators, which take their
+ranks in one run per weight.  Every differential of a page moves a bit by
+the same place into the layer a^r u^(-2^e) away, so a page is one shift and
+mask per source layer.
 
 Each strategy reads out only the window's layers that hold a class, decided
 from its own data: ``closed_form`` skips the layers whose (e, b(s)) table is
@@ -49,11 +52,11 @@ walked by s, so a degree's classes come out sorted: s ascending, and Z
 before Z_div2.
 
 Before either strategy runs its work is counted without enumerating it:
-slots visited, plus for ``page_by_page`` the states of its region or the
-64-bit words of its bitsets, whichever is more, and for ``closed_form`` the
+slots visited, plus for ``page_by_page`` the 64-bit words of its bitsets or
+the steps of its series, whichever is more, and for ``closed_form`` the
 steps of its series.  Above ``MAX_WORK`` it is refused.
 
-Laurent directions make homotopy infinite-rank per degree; enumeration caps
+Laurent directions make homotopy infinite-rank per degree; the chart caps
 the exponents of invertible generators at a window-derived bound.  Reported
 multiplicities are counts within that cap; emptiness and divisibility
 statements are cap-independent.
@@ -63,8 +66,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import accumulate, compress
 
 from . import _poly
 
@@ -74,11 +75,6 @@ GROUP_Z2 = "Z/2"
 
 TERM_INVERTIBLE = "invertible"
 TERM_IN_IDEAL = "in_ideal"
-
-# Entries kept by the weight_basis cache, which the reference fills and fast
-# does not; a warm hfpss-windows round holds about 290.
-WEIGHT_BASIS_CACHE_SIZE = 4096
-
 
 @dataclass(frozen=True)
 class RO2Degree:
@@ -183,7 +179,6 @@ class RingSpec:
         return None
 
 
-@lru_cache(maxsize=WEIGHT_BASIS_CACHE_SIZE)
 def weight_basis(spec: RingSpec, w: int, bound: int) -> tuple[tuple[int, ...], ...]:
     """Monomial exponent tuples of weight w; invertible exponents in [-bound, bound].
     Each exponent is taken only where the generators after it can still make
@@ -428,49 +423,115 @@ def _layout(spec: RingSpec, window: Window, bound: int):
     The code has a digit per v exponent (minus its low, with a spare value
     above its high for a target), then the rank of the other exponents, dense
     for any number of generators.  Returns the box, the v digits' (low,
-    place), the rank's place and the bytes of a layer."""
-    cr, dr, sr, pad_b = _page_box(spec, window, bound)
-    w_lo, w_hi = (cr[0] + dr[0]) // 2, (cr[-1] + dr[-1] + sr[-1]) // 2
+    place), the rank's place, and the factors (low, high, weight, place) of
+    three series (see ``_series``): the v digits' codes, and the monomials in
+    the other generators within the region and within the cap."""
+    cr, dr, sr, pad_b = box = _page_box(spec, window, bound)
     # a polynomial exponent times its weight is at most the top weight plus
     # what the invertible exponents, each >= -pad_b, can take away
-    top = w_hi + pad_b * sum(g.weight for g in spec.generators if g.invertible)
-    digits, radix, v_lo, v_hi = {}, 1, 0, 0
+    top = (cr[-1] + dr[-1] + sr[-1]) // 2
+    top += pad_b * sum(g.weight for g in spec.generators if g.invertible)
+
+    def exponents(g, b):  # (low, high, weight), invertible ones within b
+        return (-b, b, g.weight) if g.invertible else (0, max(top, 0) // g.weight, g.weight)
+
+    digits, codes, radix = {}, [], 1
     for i in spec.v_index:
-        g = spec.generators[i]
-        lo, hi = (-pad_b, pad_b) if g.invertible else (0, max(top, 0) // g.weight)
+        lo, hi, weight = exponents(spec.generators[i], pad_b)
         digits[i] = (lo, radix)
+        codes.append((lo, hi, weight, radix))
         radix *= hi - lo + 2
-        v_lo, v_hi = v_lo + lo * g.weight, v_hi + hi * g.weight
     rest = [g for i, g in enumerate(spec.generators) if i not in digits]
-    n_rest = sum(_weight_counts(rest, pad_b, w_lo - v_hi, w_hi - v_lo))
-    return (cr, dr, sr, pad_b), digits, radix, -(-radix * n_rest // 8)
+    region, capped = ([(*exponents(g, b), 0) for g in rest] for b in (pad_b, bound))
+    return box, digits, radix, (codes, region, capped)
+
+
+def _series(table: list[int], lo: int, hi: int, weight: int, place: int) -> list[int]:
+    """``table``, indexed by weight, times the sum over lo <= e <= hi of
+    t^(e*weight) * x^(e - lo), x = 2^place; the result starts lo*weight
+    lower.  One step per entry: each is x times the one a weight below plus
+    the table's, less the term that went past hi, so the result is exact.  At
+    place 0 it counts monomials; above, a term's bits are its codes."""
+    n = hi - lo + 1
+    out = table + [0] * ((n - 1) * weight)
+    for k in range(weight, len(out)):
+        out[k] += out[k - weight] << place
+        if k >= n * weight:
+            out[k] -= table[k - n * weight] << n * place
+    return out
+
+
+def _series_steps(factors) -> int:
+    """The steps of ``_table``'s series, one per entry of each result."""
+    entries, steps = 1, 0
+    for lo, hi, weight, _ in factors:
+        entries += (hi - lo) * weight
+        steps += entries
+    return steps
+
+
+def _table(factors) -> dict[int, int]:
+    """By weight, the product of ``_series`` over ``factors``, starting from
+    the one monomial of weight 0."""
+    first, table = 0, [1]
+    for lo, hi, weight, place in factors:
+        first, table = first + lo * weight, _series(table, lo, hi, weight, place)
+    return dict(enumerate(table, first))
+
+
+def _ranks(layout) -> tuple[list, int]:
+    """The ranks of the monomials in the generators outside the v-chain:
+    those of each weight x that a class of the region can have form one run
+    (x, first rank, count, count within the cap), the capped first.  Returns
+    the runs that are not empty and the number of ranks."""
+    (cr, dr, sr, _), _, _, (codes, region, capped) = layout
+    v_lo, v_hi = sum(lo * w for lo, _, w, _ in codes), sum(hi * w for _, hi, w, _ in codes)
+    counts, capped = _table(region), _table(capped)
+    runs, start = [], 0
+    for x in range((cr[0] + dr[0]) // 2 - v_hi, (cr[-1] + dr[-1] + sr[-1]) // 2 - v_lo + 1):
+        if n := counts.get(x):
+            runs.append((x, start, n, capped.get(x, 0)))
+            start += n
+    return runs, start
+
+
+def _unit(n: int, place: int) -> int:
+    """Bits 0, place, ..., (n - 1)*place, doubled along the digits of n."""
+    out, k = 0, 0
+    for digit in bin(n)[2:]:
+        out, k = out | out << k * place, 2 * k
+        if digit == "1":
+            out, k = out << place | 1, k + 1
+    return out
 
 
 def _materialize(spec: RingSpec, window: Window, bound: int):
     """The padded region's E2 classes as a bitset per (s, m) layer, the
     layout, and the bits of the monomials within the cap as a prefix sum over
-    the weights from the region's lowest.  A layer is a difference of two
-    prefix sums of all bits, and so is the capped mask of any run of weights:
-    codes of different weights are disjoint."""
+    the weights from the region's lowest.  Weight w's bits are the sum over x
+    of the v codes of weight w - x times the ranks of run x, and the capped
+    ones lie under one mask.  A layer is a difference of two prefix sums of
+    all bits, and so is the capped mask of any run of weights: codes of
+    different weights are disjoint."""
     layout = _layout(spec, window, bound)
-    (cr, dr, sr, pad_b), digits, rank_place, layer_bytes = layout
-    inv_idx = [i for i, g in enumerate(spec.generators) if g.invertible]
-    rest = [i not in digits for i in range(len(spec.generators))]
-    w_lo, rank, prefix, capped = (cr[0] + dr[0]) // 2, {}, [0], [0]
+    (cr, dr, sr, _), _, rank_place, (codes, _, _) = layout
+    runs, _ = _ranks(layout)
+    table = _table(codes)
+    mask = sum(_unit(c, rank_place) << start * rank_place for _, start, _, c in runs)
+    for lo, hi, _, place in codes:  # an invertible v (lo < 0) within the cap only
+        a, b = (-bound, bound) if lo < 0 else (lo, hi)
+        mask *= _unit(b - a + 1, place) << (a - lo) * place
+    runs = [(x, _unit(n, rank_place), start * rank_place) for x, start, n, _ in runs]
+    w_lo, prefix = (cr[0] + dr[0]) // 2, [0]
     for w in range(w_lo, (cr[-1] + dr[-1] + sr[-1]) // 2 + 1):
-        bits, cap = bytearray(layer_bytes), bytearray(layer_bytes)
-        for exps in weight_basis(spec, w, pad_b):
-            code = rank.setdefault(tuple(compress(exps, rest)), len(rank)) * rank_place
-            for i, (lo, p) in digits.items():
-                code += (exps[i] - lo) * p
-            bits[code >> 3] |= 1 << (code & 7)
-            if not inv_idx or all(abs(exps[i]) <= bound for i in inv_idx):
-                cap[code >> 3] |= 1 << (code & 7)
-        prefix.append(prefix[-1] | int.from_bytes(bits, "little"))
-        capped.append(capped[-1] | int.from_bytes(cap, "little"))
+        bits = 0
+        for x, run, at in runs:
+            if code := table.get(w - x):
+                bits += code * run << at
+        prefix.append(prefix[-1] + bits)
     layers = {(s, m): prefix[c_hi - 2 * m - w_lo + 1] - prefix[c_lo - 2 * m - w_lo]
               for s, m, c_lo, c_hi in _layers(cr, dr, sr)}
-    return layers, layout, capped
+    return layers, layout, [bits & mask for bits in prefix]
 
 
 def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[dict, tuple[int, ...]]:
@@ -523,8 +584,8 @@ STRATEGY_CLOSED = "closed_form"
 STRATEGY_PAGES = "page_by_page"
 STRATEGY_BOTH = "both"
 
-# Most slots plus states, words or series steps one compute_einfty call may
-# touch (see _work).
+# Most slots plus words or series steps one compute_einfty call may touch
+# (see _work).
 MAX_WORK = 1_000_000
 
 
@@ -586,36 +647,29 @@ def _slot_count(cr: range, dr: range, sr: range) -> int:
     return sum(n(cr, q + t) * n(dr, q) * n(sr, t) for q in range(4) for t in range(4))
 
 
-def _monomial_count(spec: RingSpec, cr, dr, sr, bound: int) -> tuple[int, int]:
-    """Monomials of the box's slots, summed over every slot: the states of
-    ``page_by_page``, and its layers.  One step per layer, whose weights form
-    one interval."""
-    w_lo = (cr.start + dr.start + sr.start) // 2
-    counts = _weight_counts(spec.generators, bound, w_lo, (cr[-1] + dr[-1] + sr[-1]) // 2)
-    prefix, states, n_layers = [0, *accumulate(counts)], 0, 0
-    for _, m, c_lo, c_hi in _layers(cr, dr, sr):
-        states += prefix[c_hi - 2 * m - w_lo + 1] - prefix[c_lo - 2 * m - w_lo]
-        n_layers += 1
-    return states, n_layers
-
-
 def _work(spec: RingSpec, window: Window, bound: int, strategy: str) -> int:
     """Slots visited plus what the strategies asked for touch, counted
-    without enumerating it: for ``page_by_page`` the states of its region or
-    the 64-bit words of its bitsets (one per layer of the region, and per
-    weight an entry of the prefix sums of all and of capped bits), whichever
-    is more, and for ``closed_form`` the steps of the series of
-    ``_valuation_counts``.  Past ``MAX_WORK`` in slots, only those."""
+    without enumerating it: for ``page_by_page`` the 64-bit words of its
+    bitsets (one per layer of the region, and per weight an entry of the
+    prefix sums of all and of capped bits) or the steps of its series,
+    whichever is more, and for ``closed_form`` the steps of the series of
+    ``_valuation_counts``.  Past ``MAX_WORK`` in slots, or in slots and the
+    reference's steps, only those: no table is built."""
     page_box, box = _page_box(spec, window, bound), _window_box(window)
     pages, closed = strategy != STRATEGY_CLOSED, strategy != STRATEGY_PAGES
     work = pages * _slot_count(*page_box[:3]) + closed * _slot_count(*box)
     if work > MAX_WORK:
         return work
-    if pages:  # the states first: their weight-count table names every generator
-        states, n_layers = _monomial_count(spec, *page_box)
-        (cr, dr, sr, _), _, _, layer_bytes = _layout(spec, window, bound)
-        n_layers += 2 * ((cr[-1] + dr[-1] + sr[-1]) // 2 - (cr[0] + dr[0]) // 2 + 1)
-        work += max(states, -(-n_layers * layer_bytes // 8))
+    if pages:
+        layout = _layout(spec, window, bound)
+        steps = sum(map(_series_steps, layout[3]))
+        if work + steps > MAX_WORK:
+            return work + steps
+        (cr, dr, sr, _), _, radix, _ = layout
+        n_bitsets = sum(1 for _ in _layers(cr, dr, sr))
+        n_bitsets += 2 * ((cr[-1] + dr[-1] + sr[-1]) // 2 - (cr[0] + dr[0]) // 2 + 1)
+        layer_bytes = -(-radix * _ranks(layout)[1] // 8)
+        work += max(steps, -(-n_bitsets * layer_bytes // 8))
     if closed:
         w_hi = (box[0][-1] + box[1][-1] + box[2][-1]) // 2
         work += sum((_series_order(gens, bound, w_hi - shift) + 1) * len(gens)

@@ -37,6 +37,9 @@ class Base(Enum):
 
 BASE_FOR_PRIME = {2: Base.L2, 3: Base.L3, 0: Base.RATIONAL}
 
+# Largest modulus of ``profile_mod``: the answer lists one sum per residue.
+MAX_MOD = 10**6
+
 
 def base_for_prime(l: int) -> Base:
     """Base serving the prime l; 0 and every prime > 3 mean the rational base."""
@@ -186,9 +189,12 @@ def rho_decorate(q: ShiftPolynomial) -> dict[int, int]:
 
 
 def profile_mod(q: ShiftPolynomial, m: int) -> tuple[list[int], bool]:
-    """Multiplicity totals per shift residue class mod m, plus an all-equal flag."""
+    """Multiplicity totals per shift residue class mod m, plus an all-equal
+    flag; a modulus above ``MAX_MOD`` is refused."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    if m > MAX_MOD:
+        raise ValueError(f"modulus {m} exceeds the bound {MAX_MOD}")
     sums = [0] * m
     for j, c in q.coeffs.items():
         sums[j % m] += c

@@ -312,7 +312,20 @@ EXTREME_ARGV = {
     "hfpss-fast-cube-over": (
         ["hfpss", "--ring", "height2-laurent", "--window", "100", "100", "100", "--strategy", "fast"], 1,
     ),
+    # the largest reference cube, whose price is nearly all bitset words, and
+    # the next one
+    "hfpss-reference-largest-cube": (
+        ["hfpss", "--ring", "height2-laurent", "--window", "54", "54", "54", "--strategy", "reference"],
+        0,
+    ),
+    "hfpss-reference-cube-over": (
+        ["hfpss", "--ring", "height2-laurent", "--window", "55", "55", "55", "--strategy", "reference"],
+        1,
+    ),
     "split-huge-prime": (["equivariant", "--group", "5", "--prime", "1000000000000000003"], 1),
+    # one sum per residue: the largest modulus, and the next one
+    "split-mod-at-the-bound": (["split", "--n", "5", "--prime", "2", "--mod", "1000000"], 0),
+    "split-mod-over": (["split", "--n", "5", "--prime", "2", "--mod", "1000001"], 1),
 }
 
 

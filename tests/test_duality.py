@@ -7,7 +7,6 @@ import pytest
 from tmflevels.charts import anderson_symmetry_check
 from tmflevels.cohomology import UNKNOWN, load_s1_table
 from tmflevels.duality import (
-    _DEGREE_EQUALITY_SET,
     HOM_DUAL_COMPACTIFIED,
     HOM_DUAL_PERIODIC,
     U4_PERIOD,
@@ -83,7 +82,7 @@ def test_degree_equality_via_ratio_products():
 def test_degree_equality_set_is_complete():
     # The candidates hold every n with g/f >= 1/12, so no level beyond 42 has f = 12 g.
     solutions = {n for n in self_dual_candidates() if dsum_f(n) == 12 * dsum_g(n)}
-    assert _DEGREE_EQUALITY_SET == solutions
+    assert solutions == {23, 32, 33, 35, 40, 42}
 
 
 def test_self_dual_candidates_match_brute_force():

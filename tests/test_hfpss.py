@@ -20,16 +20,15 @@ from tmflevels.hfpss import (
     PageClass,
     RingSpec,
     RO2Degree,
-    WEIGHT_BASIS_CACHE_SIZE,
     Window,
     _auto_bound,
     _closed_form,
     _layers,
     _layout,
     _materialize,
-    _monomial_count,
     _page_box,
     _page_by_page,
+    _ranks,
     _slot_count,
     _valuation_counts,
     _weight_counts,
@@ -66,6 +65,10 @@ TWELVE = load_ringspec(Path(__file__).parent / "golden" / "ring_twelve.json")
 INV_REST = RingSpec(
     "inv-rest", "Z2loc", (Generator("a1", 1), Generator("a3", 3), Generator("t", 2, True)),
     ("a1", "a3"), "in_ideal",
+)
+OUTSIDE = RingSpec(  # a polynomial and an invertible generator outside the v-chain
+    "outside", "Z2loc", (Generator("a1", 1), Generator("p", 2), Generator("t", 3, True)),
+    ("a1",), "in_ideal",
 )
 MANY = RingSpec("many", "Z2loc", tuple(Generator(f"g{i}", 1, True) for i in range(20)),
                 ("g0",), "invertible")
@@ -104,14 +107,16 @@ def per_monomial_closed_form(spec, window, bound):
             for j in range(1, h + 1)
         )
 
-    survivors = {}
+    survivors, bases = {}, {}
     for c in range(-window.c, window.c + 1):
         for d in range(-window.d, window.d + 1):
             for s in range(0, window.f + 1):
                 if (c + d + s) % 2 or (c - d - s) % 4:
                     continue
                 w, m = (c + d + s) // 2, (c - d - s) // 4
-                basis = weight_basis(spec, w, bound)
+                if w not in bases:
+                    bases[w] = weight_basis(spec, w, bound)
+                basis = bases[w]
                 n_cycle = sum(1 for exps in basis if permanent(exps, m))
                 if s == 0:
                     found = [(0, GROUP_Z, n_cycle), (0, GROUP_Z_DIV2, len(basis) - n_cycle)]
@@ -554,9 +559,42 @@ def test_exponents_outside_the_v_chain_share_one_dense_digit():
             assert _page_by_page(spec, window, bound) == expected, (spec.name, window)
             assert _closed_form(spec, window, bound) == expected[0], (spec.name, window)
     zero = Window(0, 0, 0)
-    _, _, _, layer_bytes = _layout(TWELVE, zero, _auto_bound(TWELVE, zero))
-    assert layer_bytes == 39  # v_1 exponent 0..2 and a spare, times 78 ranks
+    layout = _layout(TWELVE, zero, _auto_bound(TWELVE, zero))
+    _, digits, rank_place, _ = layout
+    n_ranks = _ranks(layout)[1]
+    assert (digits, rank_place, n_ranks) == ({0: (0, 1)}, 4, 78)
+    assert -(-rank_place * n_ranks // 8) == 39  # v_1 exponent 0..2 and a spare, times 78 ranks
     assert _work(TWELVE, zero, _auto_bound(TWELVE, zero), STRATEGY_BOTH) < 1000
+
+
+def test_bitset_engine_equals_the_dict_oracle_outside_the_v_chain():
+    # no ring of ORACLE_RINGS has a generator outside the v-chain; these do,
+    # polynomial and invertible, at the automatic cap and at caps 1 and 2
+    for spec, windows in ((TWELVE, (Window(0, 0, 0), Window(1, 1, 1), Window(2, 0, 2))),
+                          (INV_REST, (Window(0, 0, 0), Window(3, 3, 3), Window(7, 3, 12))),
+                          (OUTSIDE, (Window(0, 0, 0), Window(3, 3, 3), Window(7, 3, 12)))):
+        for window in windows:
+            for bound in (_auto_bound(spec, window), 1, 2):
+                expected = dict_page_by_page(spec, window, bound)
+                assert _page_by_page(spec, window, bound) == expected, (spec.name, window, bound)
+
+
+def test_bitsets_hold_each_monomial_once():
+    # a layer's bits are the monomials of its slots, and a weight's capped
+    # bits those within the cap, both counted by weight_basis
+    for spec in (*ORACLE_RINGS, TWELVE, INV_REST, OUTSIDE):
+        for window, bound in ((Window(0, 0, 0), 0), (Window(3, 1, 7), 0), (Window(3, 3, 3), 1)):
+            bound = bound or _auto_bound(spec, window)
+            layers, ((cr, dr, sr, pad_b), *_), capped = _materialize(spec, window, bound)
+            w_lo, w_hi = (cr[0] + dr[0]) // 2, (cr[-1] + dr[-1] + sr[-1]) // 2
+            bases = {w: weight_basis(spec, w, pad_b) for w in range(w_lo, w_hi + 1)}
+            for s, m, c_lo, c_hi in _layers(cr, dr, sr):
+                states = sum(len(bases[c - 2 * m]) for c in range(c_lo, c_hi + 1))
+                assert layers[s, m].bit_count() == states, (spec.name, window, s, m)
+            inv = [i for i, g in enumerate(spec.generators) if g.invertible]
+            assert [(capped[i + 1] - capped[i]).bit_count() for i in range(len(capped) - 1)] == [
+                sum(all(abs(exps[i]) <= bound for i in inv) for exps in bases[w])
+                for w in range(w_lo, w_hi + 1)], (spec.name, window)
 
 
 def test_materialized_layers_are_the_page_box_layers():
@@ -597,43 +635,52 @@ def test_ringspec_derived_fields_stay_out_of_eq_hash_repr_and_dict():
 
 
 def series_steps(monkeypatch, run) -> int:
-    """The steps of the series built while ``run()`` runs: one per power of t
-    and generator."""
-    steps, quotient = [], _poly.series_of_quotient
+    """The steps of the series built while ``run()`` runs: for ``fast`` one
+    per power of t and generator, for ``reference`` one per entry of each
+    ``_series`` result."""
+    steps, quotient, series = [], _poly.series_of_quotient, hfpss._series
 
-    def spy(num, den_exponents, order):
+    def spy_quotient(num, den_exponents, order):
         steps.append((order + 1) * len(den_exponents))
         return quotient(num, den_exponents, order)
 
+    def spy_series(*args):
+        out = series(*args)
+        steps.append(len(out))
+        return out
+
     with monkeypatch.context() as patch:
-        patch.setattr(hfpss._poly, "series_of_quotient", spy)
+        patch.setattr(hfpss._poly, "series_of_quotient", spy_quotient)
+        patch.setattr(hfpss, "_series", spy_series)
         run()
     return sum(steps)
 
 
 def test_work_counts_what_the_strategies_touch(monkeypatch):
-    for spec in (H1, H2P, H2L, DEGENERATE, CUSTOM):
-        for window in (Window(0, 0, 0), Window(3, 1, 7), Window(7, 12, 3), Window(12, 12, 12)):
+    windows = (Window(0, 0, 0), Window(3, 1, 7), Window(7, 12, 3), Window(12, 12, 12))
+    for spec in (H1, H2P, H2L, DEGENERATE, CUSTOM, TWELVE, INV_REST, OUTSIDE):
+        for window in windows[:2] if spec is TWELVE else windows:
             bound = _auto_bound(spec, window)
-            cr, dr, sr, pad_b = _page_box(spec, window, bound)
-            states, n_layers = _monomial_count(spec, cr, dr, sr, pad_b)
-            layers, layout, capped = _materialize(spec, window, bound)
-            assert states == sum(bits.bit_count() for bits in layers.values()), (spec.name, window)
-            assert n_layers == len(layers), (spec.name, window)
-            _, _, _, layer_bytes = layout
+            built = []
+            ref_steps = series_steps(
+                monkeypatch, lambda: built.append(_materialize(spec, window, bound)))
+            (layers, layout, capped), = built
+            (cr, dr, sr, _), _, rank_place, _ = layout
             # a bitset per layer, then per weight a prefix sum of all bits and
-            # one of the capped bits, after the empty prefix
-            assert capped[0] == 0
+            # one of the capped bits, after the empty prefix, each with room
+            # for every code of the region
+            layer_bytes = -(-rank_place * _ranks(layout)[1] // 8)
+            assert capped[0] == 0 and len(layers) == sum(1 for _ in _layers(cr, dr, sr))
             assert all(bits.bit_length() <= 8 * layer_bytes for bits in layers.values())
             assert all(bits.bit_length() <= 8 * layer_bytes for bits in capped)
-            words = -(-(n_layers + 2 * (len(capped) - 1)) * layer_bytes // 8)
+            words = -(-(len(layers) + 2 * (len(capped) - 1)) * layer_bytes // 8)
             box = _window_box(window)
             steps = series_steps(monkeypatch, lambda: _closed_form(spec, window, bound))
             page_slots, slots = _slot_count(cr, dr, sr), _slot_count(*box)
             assert page_slots == sum(hi - lo + 1 for _, _, lo, hi in _layers(cr, dr, sr))
             assert slots == sum(hi - lo + 1 for _, _, lo, hi in _layers(*box))
-            pages = page_slots + max(states, words)
-            assert _work(spec, window, bound, STRATEGY_PAGES) == pages
+            pages = page_slots + max(words, ref_steps)
+            assert _work(spec, window, bound, STRATEGY_PAGES) == pages, (spec.name, window)
             assert _work(spec, window, bound, STRATEGY_CLOSED) == slots + steps
             assert _work(spec, window, bound, STRATEGY_BOTH) == pages + slots + steps
 
@@ -642,16 +689,18 @@ def test_window_over_budget_is_refused_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("a strategy ran on a refused window")
 
-    big = Window(40, 40, 40)
+    big = Window(60, 60, 60)
     bound = _auto_bound(H2L, big)
-    # over budget on the monomials only, and on the slots alone
+    # over budget on the bitset words only, and on the slots alone
     closed, pages = (_work(H2L, big, bound, st) for st in (STRATEGY_CLOSED, STRATEGY_PAGES))
     assert closed <= MAX_WORK < pages
+    assert _slot_count(*_page_box(H2L, big, bound)[:3]) + sum(
+        map(hfpss._series_steps, _layout(H2L, big, bound)[3])) <= MAX_WORK
     assert _slot_count(*_window_box(Window(200, 200, 200))) > MAX_WORK
     monkeypatch.setattr(hfpss, "_page_by_page", no_work)
     monkeypatch.setattr(hfpss, "_closed_form", no_work)
-    # a heavy invertible generator makes the weight-count table itself too long;
-    # twenty invertible generators make 17^20 states per weight for the reference
+    # a heavy invertible generator makes the series themselves too long;
+    # twenty invertible generators make 17^20 codes per weight for the reference
     heavy = RingSpec("heavy", "Z2loc", (Generator("x", 1), Generator("y", 10**9, True)),
                      ("x",), "in_ideal")
     for spec, window, strategy in ((H2L, big, STRATEGY_PAGES), (H2L, big, STRATEGY_BOTH),
@@ -660,14 +709,12 @@ def test_window_over_budget_is_refused_before_any_work(monkeypatch):
                                    (MANY, Window(2, 2, 2), STRATEGY_PAGES)):
         with pytest.raises(ValueError, match="window too large"):
             compute_einfty(spec, window, strategy)
-    # the reference's refusal names the whole ring's table, not that of the
-    # generators outside the v-chain
-    with pytest.raises(ValueError, match="by 2 generators"):
-        compute_einfty(heavy, Window(2, 2, 2), STRATEGY_PAGES)
-
-
-def test_weight_basis_cache_is_bounded():
-    assert weight_basis.cache_parameters()["maxsize"] == WEIGHT_BASIS_CACHE_SIZE
+    # the reference's steps are counted in arithmetic, so the heavy ring is
+    # refused before any series is built
+    monkeypatch.setattr(hfpss, "_series", no_work)
+    for strategy in (STRATEGY_PAGES, STRATEGY_BOTH):
+        with pytest.raises(ValueError, match="window too large"):
+            compute_einfty(heavy, Window(2, 2, 2), strategy)
 
 
 def test_both_detects_a_dropped_class(monkeypatch):
@@ -693,15 +740,18 @@ def test_page_by_page_checks_degree_bookkeeping():
 
 
 def test_closed_form_enumerates_nothing(monkeypatch):
+    # nor does any other strategy: the expected entries come from the
+    # per-monomial oracle, before weight_basis is made to raise
     def no_enumeration(*args):
-        raise AssertionError("closed_form enumerated monomials")
+        raise AssertionError("a strategy enumerated monomials")
 
-    expected = {(spec, window): compute_einfty(spec, window, STRATEGY_PAGES).entries
-                for spec in ORACLE_RINGS for window in (Window(0, 0, 0), Window(3, 1, 7),
-                                                        Window(7, 12, 3))}
+    expected = {(spec, window): per_monomial_closed_form(spec, window, _auto_bound(spec, window))
+                for spec in (*ORACLE_RINGS, INV_REST, OUTSIDE)
+                for window in (Window(0, 0, 0), Window(3, 1, 7), Window(7, 12, 3))}
     monkeypatch.setattr(hfpss, "weight_basis", no_enumeration)
     for (spec, window), entries in expected.items():
-        assert compute_einfty(spec, window, STRATEGY_CLOSED).entries == entries, (spec.name, window)
+        for strategy in (STRATEGY_CLOSED, STRATEGY_PAGES, STRATEGY_BOTH):
+            assert compute_einfty(spec, window, strategy).entries == entries, (spec.name, window)
 
 
 def test_valuation_rows_count_the_monomials_by_lowest_dividing_v():
