@@ -74,7 +74,7 @@ def dss_chart(n: int, stem_range: tuple[int, int], table: S1Table | None = None)
             entries.append(ChartEntry(stem, filt, partial, NEEDS_S1))
         elif rank > 0:
             entries.append(ChartEntry(stem, filt, rank))
-    return Chart(n, stem_range, tuple(sorted(entries, key=lambda e: (e.stem, e.filtration))))
+    return Chart(n, stem_range, tuple(entries))
 
 
 @dataclass(frozen=True)

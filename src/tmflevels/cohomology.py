@@ -12,6 +12,7 @@ silent zero.
 from __future__ import annotations
 
 import csv
+import functools
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
@@ -54,7 +55,8 @@ class S1Table:
         return self.values.get(n, UNKNOWN)
 
 
-def _load_builtin() -> S1Table:
+@functools.lru_cache(maxsize=1)
+def builtin_s1_table() -> S1Table:
     text = resources.files("tmflevels").joinpath("s1_builtin.csv").read_text("utf-8")
     values, prov = {}, {}
     for row in csv.DictReader(text.splitlines()):
@@ -62,16 +64,6 @@ def _load_builtin() -> S1Table:
         values[n] = int(row["s1"])
         prov[n] = BUILTIN
     return S1Table(values, prov)
-
-
-_BUILTIN_TABLE = None
-
-
-def builtin_s1_table() -> S1Table:
-    global _BUILTIN_TABLE
-    if _BUILTIN_TABLE is None:
-        _BUILTIN_TABLE = _load_builtin()
-    return _BUILTIN_TABLE
 
 
 def load_s1_table(path=None) -> S1Table:

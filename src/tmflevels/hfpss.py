@@ -37,10 +37,10 @@ per row (``_valuation_counts``) and tables the sums of rows once per
 layer, a bit per class indexed by a dense exponent code, built as a
 difference of per-weight prefix sums.  It lists no monomial either: one
 series in t and x = 2^place gives each weight's codes of the v exponents,
-and two more count the monomials in the other generators, which take their
-ranks in one run per weight.  Every differential of a page moves a bit by
-the same place into the layer a^r u^(-2^e) away, so a page is one shift and
-mask per source layer.
+and one more counts the monomials in the other generators within the cap (no
+differential changes their exponents); they take their ranks in one run per
+weight.  Every differential of a page moves a bit by the same place into the
+layer a^r u^(-2^e) away, so a page is one shift and mask per source layer.
 
 Each strategy reads out only the window's layers that hold a class, decided
 from its own data: ``closed_form`` skips the layers whose (e, b(s)) table is
@@ -51,10 +51,10 @@ only nonzero counts are filed, so the chart cannot change.  Layers are
 walked by s, so a degree's classes come out sorted: s ascending, and Z
 before Z_div2.
 
-Before either strategy runs its work is counted without enumerating it:
-slots visited, plus for ``page_by_page`` the 64-bit words of its bitsets or
-the steps of its series, whichever is more, and for ``closed_form`` the
-steps of its series.  Above ``MAX_WORK`` it is refused.
+Before either strategy runs its work is counted in arithmetic, walking no
+layer: slots visited, plus for ``page_by_page`` the 64-bit words of its
+bitsets or the steps of its series, whichever is more, and for
+``closed_form`` the steps of its series.  Above ``MAX_WORK`` it is refused.
 
 Laurent directions make homotopy infinite-rank per degree; the chart caps
 the exponents of invertible generators at a window-derived bound.  Reported
@@ -424,8 +424,9 @@ def _layout(spec: RingSpec, window: Window, bound: int):
     above its high for a target), then the rank of the other exponents, dense
     for any number of generators.  Returns the box, the v digits' (low,
     place), the rank's place, and the factors (low, high, weight, place) of
-    three series (see ``_series``): the v digits' codes, and the monomials in
-    the other generators within the region and within the cap."""
+    two series (see ``_series``): the v digits' codes, and the monomials in
+    the other generators within the cap: no differential changes their
+    exponents, so a class past it is never read out and meets none that is."""
     cr, dr, sr, pad_b = box = _page_box(spec, window, bound)
     # a polynomial exponent times its weight is at most the top weight plus
     # what the invertible exponents, each >= -pad_b, can take away
@@ -441,9 +442,8 @@ def _layout(spec: RingSpec, window: Window, bound: int):
         digits[i] = (lo, radix)
         codes.append((lo, hi, weight, radix))
         radix *= hi - lo + 2
-    rest = [g for i, g in enumerate(spec.generators) if i not in digits]
-    region, capped = ([(*exponents(g, b), 0) for g in rest] for b in (pad_b, bound))
-    return box, digits, radix, (codes, region, capped)
+    rest = [(*exponents(g, bound), 0) for i, g in enumerate(spec.generators) if i not in digits]
+    return box, digits, radix, (codes, rest)
 
 
 def _series(table: list[int], lo: int, hi: int, weight: int, place: int) -> list[int]:
@@ -482,15 +482,15 @@ def _table(factors) -> dict[int, int]:
 def _ranks(layout) -> tuple[list, int]:
     """The ranks of the monomials in the generators outside the v-chain:
     those of each weight x that a class of the region can have form one run
-    (x, first rank, count, count within the cap), the capped first.  Returns
-    the runs that are not empty and the number of ranks."""
-    (cr, dr, sr, _), _, _, (codes, region, capped) = layout
+    (x, first rank, count).  Returns the runs that are not empty and the
+    number of ranks."""
+    (cr, dr, sr, _), _, _, (codes, rest) = layout
     v_lo, v_hi = sum(lo * w for lo, _, w, _ in codes), sum(hi * w for _, hi, w, _ in codes)
-    counts, capped = _table(region), _table(capped)
+    counts = _table(rest)
     runs, start = [], 0
     for x in range((cr[0] + dr[0]) // 2 - v_hi, (cr[-1] + dr[-1] + sr[-1]) // 2 - v_lo + 1):
         if n := counts.get(x):
-            runs.append((x, start, n, capped.get(x, 0)))
+            runs.append((x, start, n))
             start += n
     return runs, start
 
@@ -510,18 +510,19 @@ def _materialize(spec: RingSpec, window: Window, bound: int):
     layout, and the bits of the monomials within the cap as a prefix sum over
     the weights from the region's lowest.  Weight w's bits are the sum over x
     of the v codes of weight w - x times the ranks of run x, and the capped
-    ones lie under one mask.  A layer is a difference of two prefix sums of
-    all bits, and so is the capped mask of any run of weights: codes of
-    different weights are disjoint."""
+    ones lie under one mask: every rank, and an invertible v within the cap.
+    A layer is a difference of two prefix sums of all bits, and so is the
+    capped mask of any run of weights: codes of different weights are
+    disjoint."""
     layout = _layout(spec, window, bound)
-    (cr, dr, sr, _), _, rank_place, (codes, _, _) = layout
-    runs, _ = _ranks(layout)
+    (cr, dr, sr, _), _, rank_place, (codes, _) = layout
+    runs, n_ranks = _ranks(layout)
     table = _table(codes)
-    mask = sum(_unit(c, rank_place) << start * rank_place for _, start, _, c in runs)
+    mask = _unit(n_ranks, rank_place)
     for lo, hi, _, place in codes:  # an invertible v (lo < 0) within the cap only
         a, b = (-bound, bound) if lo < 0 else (lo, hi)
         mask *= _unit(b - a + 1, place) << (a - lo) * place
-    runs = [(x, _unit(n, rank_place), start * rank_place) for x, start, n, _ in runs]
+    runs = [(x, _unit(n, rank_place), start * rank_place) for x, start, n in runs]
     w_lo, prefix = (cr[0] + dr[0]) // 2, [0]
     for w in range(w_lo, (cr[-1] + dr[-1] + sr[-1]) // 2 + 1):
         bits = 0
@@ -599,14 +600,9 @@ def _weight_counts(generators, bound: int, w_lo: int, w_hi: int) -> list[int]:
     exponents in [-bound, bound], for w_lo <= w <= w_hi: the coefficient of
     t^(w + shift), shift = bound * (sum of invertible weights), in
     prod_inv (1 - t^((2*bound+1)*wt)) / prod_all (1 - t^wt).  One step per
-    weight and generator up to t^(w_hi + shift); refused past ``MAX_WORK``."""
+    weight and generator up to t^(w_hi + shift), priced by ``_work``."""
     shift = bound * sum(g.weight for g in generators if g.invertible)
     order = _series_order(generators, bound, w_hi)
-    if (order + 1) * len(generators) > MAX_WORK:
-        raise ValueError(
-            f"hfpss window too large: a weight-count table of {order + 1} weights "
-            f"by {len(generators)} generators, budget {MAX_WORK}"
-        )
     series = _poly.series_of_quotient([1], tuple(g.weight for g in generators), order)
     for g in generators:
         if g.invertible:  # times 1 - t^cap: the exponent stays within [-bound, bound]
@@ -639,17 +635,27 @@ def _valuation_counts(spec: RingSpec, bound: int, w_lo: int, w_hi: int) -> list[
     return rows + [[0] * (w_hi - w_lo + 1)] * (spec.effective_height + 1 - len(rows))
 
 
+def _residues(rng: range, q: int) -> int:
+    """The elements of rng congruent to q mod 4; ``len`` overflows past 2^63."""
+    return max(0, (rng.stop - rng.start - (q - rng.start) % 4 + 3) // 4)
+
+
 def _slot_count(cr: range, dr: range, sr: range) -> int:
-    """Slots of a box, c = d + s mod 4, counted by residues in arithmetic:
-    ``len`` of a range overflows past 2^63."""
-    def n(rng, q):  # the elements of rng congruent to q mod 4
-        return max(0, (rng.stop - rng.start - (q - rng.start) % 4 + 3) // 4)
-    return sum(n(cr, q + t) * n(dr, q) * n(sr, t) for q in range(4) for t in range(4))
+    """Slots of a box, c = d + s mod 4, counted by residues."""
+    return sum(_residues(cr, q + t) * _residues(dr, q) * _residues(sr, t)
+               for q in range(4) for t in range(4))
+
+
+def _layer_count(cr: range, dr: range, sr: range) -> int:
+    """The layers ``_layers`` walks: at filtration s, (c_hi - d_lo - s)//4 +
+    (d_hi + s - c_lo)//4 + 1, which depends only on s mod 4."""
+    return sum(_residues(sr, t) * ((cr[-1] - dr[0] - t) // 4 + (dr[-1] + t - cr[0]) // 4 + 1)
+               for t in range(4))
 
 
 def _work(spec: RingSpec, window: Window, bound: int, strategy: str) -> int:
-    """Slots visited plus what the strategies asked for touch, counted
-    without enumerating it: for ``page_by_page`` the 64-bit words of its
+    """Slots visited plus what the strategies asked for touch, counted in
+    arithmetic, walking no layer: for ``page_by_page`` the 64-bit words of its
     bitsets (one per layer of the region, and per weight an entry of the
     prefix sums of all and of capped bits) or the steps of its series,
     whichever is more, and for ``closed_form`` the steps of the series of
@@ -666,7 +672,7 @@ def _work(spec: RingSpec, window: Window, bound: int, strategy: str) -> int:
         if work + steps > MAX_WORK:
             return work + steps
         (cr, dr, sr, _), _, radix, _ = layout
-        n_bitsets = sum(1 for _ in _layers(cr, dr, sr))
+        n_bitsets = _layer_count(cr, dr, sr)
         n_bitsets += 2 * ((cr[-1] + dr[-1] + sr[-1]) // 2 - (cr[0] + dr[0]) // 2 + 1)
         layer_bytes = -(-radix * _ranks(layout)[1] // 8)
         work += max(steps, -(-n_bitsets * layer_bytes // 8))

@@ -277,6 +277,7 @@ def test_equivariant_worst_accepted_orders_within_budget(group):
 
 
 TWELVE_RING = str(Path(__file__).parent / "golden" / "ring_twelve.json")
+CUSTOM_RING = str(Path(__file__).parent / "golden" / "ring_custom.json")
 EXTREME_ARGV = {
     "chart-huge-range": (["chart", "--n", "23", "--range", "0..1000000000000000000000"], 1),
     "chart-at-the-budget": (["chart", "--n", "23", "--range", "-5000..4999", "--format", "svg"], 0),
@@ -321,6 +322,14 @@ EXTREME_ARGV = {
     "hfpss-reference-cube-over": (
         ["hfpss", "--ring", "height2-laurent", "--window", "55", "55", "55", "--strategy", "reference"],
         1,
+    ),
+    # long flat windows of a polynomial ring, over the budget for the
+    # reference: priced from counted layers, not by walking them
+    "hfpss-reference-flat-f-over": (
+        ["hfpss", "--ring", CUSTOM_RING, "--window", "0", "0", "560000", "--strategy", "reference"], 1,
+    ),
+    "hfpss-reference-flat-c-over": (
+        ["hfpss", "--ring", CUSTOM_RING, "--window", "399000", "0", "0", "--strategy", "reference"], 1,
     ),
     "split-huge-prime": (["equivariant", "--group", "5", "--prime", "1000000000000000003"], 1),
     # one sum per residue: the largest modulus, and the next one

@@ -23,6 +23,7 @@ from tmflevels.hfpss import (
     Window,
     _auto_bound,
     _closed_form,
+    _layer_count,
     _layers,
     _layout,
     _materialize,
@@ -550,7 +551,7 @@ def test_bitset_engine_equals_the_dict_oracle():
 def test_exponents_outside_the_v_chain_share_one_dense_digit():
     # twelve generators: the eleven that are not v_1 are ranked, not given a
     # digit each, so the layout stays near the states; an invertible one is
-    # ranked with its exponents beyond the cap
+    # ranked with its exponents within the cap
     for spec, windows in ((TWELVE, (Window(0, 0, 0), Window(2, 1, 3), Window(3, 0, 0))),
                           (INV_REST, (Window(0, 0, 0), Window(3, 3, 3), Window(7, 1, 5)))):
         for window in windows:
@@ -581,13 +582,19 @@ def test_bitset_engine_equals_the_dict_oracle_outside_the_v_chain():
 
 def test_bitsets_hold_each_monomial_once():
     # a layer's bits are the monomials of its slots, and a weight's capped
-    # bits those within the cap, both counted by weight_basis
+    # bits those within the cap, both counted by weight_basis: an invertible
+    # v within the region's pad_b, an invertible generator outside the
+    # v-chain within the cap, since no differential changes its exponent
     for spec in (*ORACLE_RINGS, TWELVE, INV_REST, OUTSIDE):
+        outside = [i for i, g in enumerate(spec.generators)
+                   if g.invertible and i not in spec.v_index]
         for window, bound in ((Window(0, 0, 0), 0), (Window(3, 1, 7), 0), (Window(3, 3, 3), 1)):
             bound = bound or _auto_bound(spec, window)
             layers, ((cr, dr, sr, pad_b), *_), capped = _materialize(spec, window, bound)
             w_lo, w_hi = (cr[0] + dr[0]) // 2, (cr[-1] + dr[-1] + sr[-1]) // 2
-            bases = {w: weight_basis(spec, w, pad_b) for w in range(w_lo, w_hi + 1)}
+            bases = {w: [exps for exps in weight_basis(spec, w, pad_b)
+                         if all(abs(exps[i]) <= bound for i in outside)]
+                     for w in range(w_lo, w_hi + 1)}
             for s, m, c_lo, c_hi in _layers(cr, dr, sr):
                 states = sum(len(bases[c - 2 * m]) for c in range(c_lo, c_hi + 1))
                 assert layers[s, m].bit_count() == states, (spec.name, window, s, m)
@@ -595,6 +602,60 @@ def test_bitsets_hold_each_monomial_once():
             assert [(capped[i + 1] - capped[i]).bit_count() for i in range(len(capped) - 1)] == [
                 sum(all(abs(exps[i]) <= bound for i in inv) for exps in bases[w])
                 for w in range(w_lo, w_hi + 1)], (spec.name, window)
+
+
+def spare_bits(layout, n_ranks) -> int:
+    """The codes of a layout, over every rank, that hold a v digit's spare
+    value (the one above its high, which only a target past the region
+    takes), decoded from the layout's own digit places and radix."""
+    _, digits, radix, _ = layout
+    places = sorted(place for _, place in digits.values()) + [radix]
+    spare = 0
+    for place, above in zip(places, places[1:]):
+        # digit value above // place - 1: the top place bits of each period
+        spare |= int(("1" * place + "0" * (above - place)) * (radix * n_ranks // above), 2)
+    return spare
+
+
+def test_no_bit_holds_a_spare_digit():
+    # a rank one code too low would shift every rank but the first onto
+    # codes whose v digits read wrong, some of them spare
+    for spec in (*ORACLE_RINGS, TWELVE, INV_REST, OUTSIDE):
+        for window in (Window(0, 0, 0), Window(3, 3, 3)):
+            for bound in (_auto_bound(spec, window), 1, 2):
+                layers, layout, capped = _materialize(spec, window, bound)
+                spare = spare_bits(layout, _ranks(layout)[1])
+                assert not any(bits & spare for bits in (*layers.values(), *capped)), (
+                    spec.name, window, bound)
+
+
+def test_layer_count_is_the_length_of_the_layer_walk():
+    for spec in ORACLE_RINGS:
+        for window in itertools.starmap(Window, itertools.product(
+                range(7), range(7), (0, 1, 2, 3, 6, 13))):
+            bound = _auto_bound(spec, window)
+            for box in (_window_box(window), _page_box(spec, window, bound)[:3]):
+                assert _layer_count(*box) == sum(1 for _ in _layers(*box)), (spec.name, window)
+    # a side past 2^63, where len() of a range overflows: the count is affine
+    # in a side n = 0 mod 4, so two walked boxes give it
+    huge = _window_box(Window(4 * 10**19, 1, 1))
+    with pytest.raises(OverflowError):
+        len(huge[0])
+    a, b = (sum(1 for _ in _layers(*_window_box(Window(n, 1, 1)))) for n in (4, 8))
+    assert _layer_count(*huge) == a + (b - a) * (10**19 - 1)
+
+
+def test_work_walks_no_layer(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the price walked the layers")
+
+    strategies = (STRATEGY_CLOSED, STRATEGY_PAGES, STRATEGY_BOTH)
+    prices = {(spec, window, bound, strategy): _work(spec, window, bound, strategy)
+              for spec in ORACLE_RINGS for window, bound in oracle_cases(spec)
+              for strategy in strategies}
+    monkeypatch.setattr(hfpss, "_layers", no_walk)
+    for case, price in prices.items():
+        assert _work(*case) == price, case
 
 
 def test_materialized_layers_are_the_page_box_layers():
