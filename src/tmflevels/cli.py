@@ -8,7 +8,9 @@ are.  Every number printed is exact; rationals appear as "a/b".  Exit codes:
 0 success, 1 domain error, 2 usage error.
 
 Each ``_cmd_*(args)`` returns a dict (a JSON payload) or a str (output already
-rendered); ``main`` stamps the version, writes it and reports errors.
+rendered); ``main`` stamps the version on a dict, writes the result and
+reports errors.  hfpss JSON, like chart JSON, arrives rendered: it is
+``hfpss.render_json``'s text, which carries the version itself.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def _cmd_hfpss(args):
     chart = hfpss.compute_einfty(spec, hfpss.Window(*args.window), strategy)
     if args.format == "ascii":
         return hfpss.render_ascii(chart)
-    return hfpss.chart_to_dict(chart)
+    return hfpss.render_json(chart, VERSION)
 
 
 def _split_row(p) -> dict:

@@ -882,6 +882,8 @@ def ringspec_from_dict(data) -> RingSpec:
     """Ring spec from parsed JSON; a malformed shape raises ValueError."""
     if not isinstance(data, dict) or any(k not in data for k in RING_KEYS):
         raise ValueError(f"ring spec must be a JSON object with keys {', '.join(RING_KEYS)}")
+    if not isinstance(data["name"], str):
+        raise ValueError("ring spec 'name' must be a string")
     if not isinstance(data["generators"], list) or not all(
         isinstance(g, dict) and isinstance(g.get("sym"), str) and isinstance(g.get("weight"), int)
         for g in data["generators"]
@@ -928,22 +930,42 @@ def chart_to_dict(chart: EinftyChart) -> dict:
     }
 
 
+_GROUPS = (GROUP_Z, GROUP_Z_DIV2, GROUP_Z2)  # the columns of an ascii cell
+_GROUP_JSON = {g: json.dumps(g) for g in _GROUPS}
+
+
+def render_json(chart: EinftyChart, version: int) -> str:
+    """``json.dumps({**chart_to_dict(chart), "version": version},
+    sort_keys=True)`` and a newline, written straight from the chart; each
+    distinct classes tuple is formatted once."""
+    entries, memo, parts = chart.entries, {}, []
+    for c, d in sorted(entries):
+        classes = entries[c, d]
+        if (text := memo.get(classes)) is None:
+            text = memo[classes] = ", ".join(f"[{s}, {_GROUP_JSON[g]}, {n}]" for s, g, n in classes)
+        parts.append(f'{{"c": {c}, "classes": [{text}], "d": {d}}}')
+    w = chart.window
+    return (f'{{"bound": {chart.bound}, "collapse_page": {chart.collapse_page}, '
+            f'"entries": [{", ".join(parts)}], "ring": {json.dumps(chart.ring)}, '
+            f'"version": {version}, "window": [{w.c}, {w.d}, {w.f}]}}\n')
+
+
 def render_ascii(chart: EinftyChart) -> str:
     """Rows are d descending, columns c ascending; cells count classes as
-    lattice/index-two/F2 triples."""
-    lines = []
-    for d in range(chart.window.d, -chart.window.d - 1, -1):
-        cells = []
-        for c in range(-chart.window.c, chart.window.c + 1):
-            classes = chart.entries.get((c, d), ())
-            if not classes:
-                cells.append(".".center(9))
-                continue
-            nz = sum(n for s, g, n in classes if g == GROUP_Z)
-            n2 = sum(n for s, g, n in classes if g == GROUP_Z_DIV2)
-            nf = sum(n for s, g, n in classes if g == GROUP_Z2)
-            cells.append(f"{nz}/{n2}/{nf}".center(9))
-        lines.append(f"{d:>4} |" + "".join(cells))
-    lines.append("     +" + "-" * (9 * (2 * chart.window.c + 1)))
-    lines.append("      " + "".join(str(c).center(9) for c in range(-chart.window.c, chart.window.c + 1)))
+    lattice/index-two/F2 triples.  One pass over the entries fills the rows
+    that hold a class, formatting each distinct classes tuple once."""
+    w, empty, memo, rows = chart.window, ".".center(9), {}, {}
+    for (c, d), classes in chart.entries.items():
+        if classes:
+            if (text := memo.get(classes)) is None:
+                text = memo[classes] = "/".join(
+                    str(sum(n for _, g, n in classes if g == group)) for group in _GROUPS).center(9)
+            if (row := rows.get(d)) is None:
+                row = rows[d] = [empty] * (2 * w.c + 1)
+            row[c + w.c] = text
+    blank = empty * (2 * w.c + 1)
+    lines = [f"{d:>4} |" + ("".join(rows.pop(d)) if d in rows else blank)
+             for d in range(w.d, -w.d - 1, -1)]
+    lines.append("     +" + "-" * len(blank))
+    lines.append("      " + "".join(str(c).center(9) for c in range(-w.c, w.c + 1)))
     return "\n".join(lines) + "\n"

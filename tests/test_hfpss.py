@@ -1,6 +1,7 @@
 """Spectral sequence engine: presets, differentials, pages, predicates."""
 
 import itertools
+import json
 from pathlib import Path
 
 import pytest
@@ -35,12 +36,15 @@ from tmflevels.hfpss import (
     _weight_counts,
     _window_box,
     _work,
+    chart_to_dict,
     compute_einfty,
     differential,
     e2_basis,
     is_strongly_even,
     load_ringspec,
     presets,
+    render_ascii,
+    render_json,
     ringspec_from_dict,
     ringspec_to_dict,
     transfer_check,
@@ -278,6 +282,12 @@ def test_ringspec_from_dict_shape():
     ):
         with pytest.raises(ValueError):
             ringspec_from_dict(bad)
+
+
+@pytest.mark.parametrize("name", [1.5, float("inf"), float("nan"), {"b": 1, "a": 2}, None, 7, True])
+def test_ringspec_name_must_be_a_string(name):
+    with pytest.raises(ValueError, match="^ring spec 'name' must be a string$"):
+        ringspec_from_dict({**ringspec_to_dict(H2L), "name": name})
 
 
 def test_e2_basis_degree_00():
@@ -847,3 +857,40 @@ def test_slot_count_takes_no_len_of_a_huge_range():
     assert _slot_count(*_window_box(Window(0, 0, 0))) == 1
     with pytest.raises(ValueError, match="hfpss window too large"):
         compute_einfty(H2L, huge, STRATEGY_CLOSED)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+WRITER_RINGS = [(spec, (STRATEGY_CLOSED, STRATEGY_PAGES, STRATEGY_BOTH)) for spec in (
+    H1, H2P, H2L, CUSTOM, TWELVE, load_ringspec(GOLDEN / "ring_escaped_name.json"))]
+WRITER_RINGS.append((load_ringspec(GOLDEN / "ring_twenty_laurent.json"), (STRATEGY_CLOSED,)))
+WRITER_WINDOWS = [Window(*w) for w in (
+    (0, 0, 0), (3, 1, 2), (1, 4, 0), (2, 0, 5), (6, 0, 0), (0, 6, 0), (0, 0, 6), (4, 4, 4))]
+
+
+def writer_charts():
+    for spec, strategies in WRITER_RINGS:
+        for window, strategy in itertools.product(WRITER_WINDOWS, strategies):
+            yield compute_einfty(spec, window, strategy)
+
+
+def test_render_json_is_json_dumps_of_chart_to_dict():
+    for chart in writer_charts():
+        expected = json.dumps({**chart_to_dict(chart), "version": 1}, sort_keys=True) + "\n"
+        assert render_json(chart, 1) == expected, (chart.ring, chart.window)
+
+
+def test_render_ascii_cells_sum_the_classes_by_group():
+    """Each row is rebuilt cell by cell from ``chart.at``; a cell is centered
+    in 9 columns and is wider only when its counts are."""
+    for chart in writer_charts():
+        w = chart.window
+        lines = render_ascii(chart).split("\n")
+        assert len(lines) == 2 * w.d + 4 and lines[-1] == ""
+        for row, d in zip(lines, range(w.d, -w.d - 1, -1)):
+            cells = []
+            for c in range(-w.c, w.c + 1):
+                classes = chart.at(c, d)
+                counts = [sum(n for _, g, n in classes if g == group)
+                          for group in (GROUP_Z, GROUP_Z_DIV2, GROUP_Z2)]
+                cells.append("/".join(map(str, counts)) if classes else ".")
+            assert row == f"{d:>4} |" + "".join(cell.center(9) for cell in cells), (chart.ring, w, d)
