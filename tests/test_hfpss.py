@@ -282,12 +282,9 @@ def test_ringspec_from_dict_shape():
     ):
         with pytest.raises(ValueError):
             ringspec_from_dict(bad)
-
-
-@pytest.mark.parametrize("name", [1.5, float("inf"), float("nan"), {"b": 1, "a": 2}, None, 7, True])
-def test_ringspec_name_must_be_a_string(name):
-    with pytest.raises(ValueError, match="^ring spec 'name' must be a string$"):
-        ringspec_from_dict({**ringspec_to_dict(H2L), "name": name})
+    for name in (1.5, float("inf"), float("nan"), {"b": 1, "a": 2}, None, 7, True):
+        with pytest.raises(ValueError, match="^ring spec 'name' must be a string$"):
+            ringspec_from_dict({**good, "name": name})
 
 
 def test_e2_basis_degree_00():
