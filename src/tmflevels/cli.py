@@ -11,24 +11,48 @@ Each ``_cmd_*(args)`` returns a dict (a JSON payload) or a str (output already
 rendered); ``main`` stamps the version on a dict, writes the result and
 reports errors.  hfpss JSON, like chart JSON, arrives rendered: it is
 ``hfpss.render_json``'s text, which carries the version itself.
+
+A request loads only the modules its subcommand uses: ``charts``,
+``duality``, ``equivariant``, ``hfpss`` and ``splitting`` are bound here
+lazily (``_lazy``) and run when a request first reads one of their
+attributes, so ``invariants`` runs none of them and ``duality`` only
+``duality``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
 import re
 import sys
 
-from . import charts, duality, equivariant, hfpss, splitting
 from .cohomology import UNKNOWN, load_s1_table
 from .levels import curve_invariants
 
 MAX_LEVEL = 10**7
 S1_ENV = "TMFLEVELS_S1_FILE"
 VERSION = 1
+
+
+def _lazy(short: str):
+    """``tmflevels.<short>``, registered like an import but run only when one
+    of its attributes is first read; a module already imported is returned
+    as it is, so each name keeps one module object."""
+    name = f"{__package__}.{short}"
+    if (module := sys.modules.get(name)) is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], short, module)
+    return module
+
+
+charts, duality, equivariant, hfpss, splitting = map(
+    _lazy, ("charts", "duality", "equivariant", "hfpss", "splitting"))
 
 
 def _parse_range(text: str) -> tuple[int, int]:

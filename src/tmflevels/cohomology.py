@@ -57,7 +57,7 @@ class S1Table:
 
 @functools.lru_cache(maxsize=1)
 def builtin_s1_table() -> S1Table:
-    text = resources.files("tmflevels").joinpath("s1_builtin.csv").read_text("utf-8")
+    text = resources.files(__package__).joinpath("s1_builtin.csv").read_text("utf-8")
     values, prov = {}, {}
     for row in csv.DictReader(text.splitlines()):
         n = int(row["n"])

@@ -952,20 +952,25 @@ def render_json(chart: EinftyChart, version: int) -> str:
 
 def render_ascii(chart: EinftyChart) -> str:
     """Rows are d descending, columns c ascending; cells count classes as
-    lattice/index-two/F2 triples.  One pass over the entries fills the rows
-    that hold a class, formatting each distinct classes tuple once."""
-    w, empty, memo, rows = chart.window, ".".center(9), {}, {}
+    lattice/index-two/F2 triples.  Each distinct classes tuple is formatted
+    once; columns are 9 wide, or one more than the longest cell, so cells
+    never touch.  Only the rows that hold a class are filled cell by cell."""
+    w, memo, rows = chart.window, {}, {}
+    for classes in chart.entries.values():
+        if classes and classes not in memo:
+            memo[classes] = "/".join(
+                str(sum(n for _, g, n in classes if g == group)) for group in _GROUPS)
+    width = max([9] + [len(text) + 1 for text in memo.values()])
+    empty = ".".center(width)
+    cells = {classes: text.center(width) for classes, text in memo.items()}
     for (c, d), classes in chart.entries.items():
         if classes:
-            if (text := memo.get(classes)) is None:
-                text = memo[classes] = "/".join(
-                    str(sum(n for _, g, n in classes if g == group)) for group in _GROUPS).center(9)
             if (row := rows.get(d)) is None:
                 row = rows[d] = [empty] * (2 * w.c + 1)
-            row[c + w.c] = text
+            row[c + w.c] = cells[classes]
     blank = empty * (2 * w.c + 1)
     lines = [f"{d:>4} |" + ("".join(rows.pop(d)) if d in rows else blank)
              for d in range(w.d, -w.d - 1, -1)]
     lines.append("     +" + "-" * len(blank))
-    lines.append("      " + "".join(str(c).center(9) for c in range(-w.c, w.c + 1)))
+    lines.append("      " + "".join(str(c).center(width) for c in range(-w.c, w.c + 1)))
     return "\n".join(lines) + "\n"

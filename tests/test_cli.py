@@ -4,6 +4,7 @@ import ast
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -169,19 +170,82 @@ def test_duality_scan_jobs_deterministic():
     assert seq == par
 
 
-def test_cli_import_loads_no_process_pool():
-    # The scan runs in-process; importing the CLI must not pay for a pool.
-    probe = (
-        "import sys, tmflevels.cli; "
-        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
-    )
-    src = str(Path(tmflevels.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+SRC = str(Path(tmflevels.__file__).resolve().parent.parent)
+LAZY = ("charts", "duality", "equivariant", "hfpss", "splitting")
+
+
+def run_python(probe, *path):
+    """Run ``probe`` in a fresh interpreter that imports from ``path`` (the
+    source tree by default) and return what it printed, parsed as JSON."""
+    search = list(path or [SRC]) + [os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, search)))
     res = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    return json.loads(res.stdout)
+
+
+def test_cli_import_loads_no_process_pool():
+    # The scan runs in-process, and a request runs only the modules its
+    # subcommand uses: importing the CLI pays for neither a pool nor hfpss.
+    probe = f"""if True:
+        import io, json, sys, types
+        import tmflevels.cli as cli
+
+        def ran():
+            return [n for n in {LAZY!r} if type(sys.modules["tmflevels." + n]) is types.ModuleType]
+
+        seen = [[m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules], ran()]
+        for argv in (["invariants", "--n", "23"], ["duality", "--n", "1"],
+                     ["hfpss", "--ring", "height1-laurent", "--window", "2", "2", "2"]):
+            assert cli.main(argv, io.StringIO()) == 0
+            seen.append(ran())
+        print(json.dumps(seen))
+    """
+    assert run_python(probe) == [[], [], [], ["duality"], ["duality", "hfpss"]]
+
+
+@pytest.mark.parametrize("before", ["import tmflevels.hfpss, tmflevels.equivariant", "pass"])
+def test_one_module_object_per_name(before):
+    # Whether a module was imported before the CLI or is bound lazily by it,
+    # the CLI, the package and sys.modules hold one object, and a patch made
+    # through the package is what a request calls.
+    probe = f"""if True:
+        import io, json, sys
+        {before}
+        early = {{n: sys.modules.get("tmflevels." + n) for n in {LAZY!r}}}
+        import tmflevels.cli as cli
+        import tmflevels
+
+        same = [early[n] in (None, getattr(cli, n))
+                and getattr(cli, n) is getattr(tmflevels, n) is sys.modules["tmflevels." + n]
+                for n in early]
+        seen = []
+        tmflevels.equivariant.components = lambda G: seen.append(list(G.factors)) or []
+        code = cli.main(["equivariant", "--group", "6"], io.StringIO())
+        print(json.dumps([same, code, seen]))
+    """
+    assert run_python(probe) == [[True] * len(LAZY), 0, [[6]]]
+
+
+def test_package_runs_under_another_name(tmp_path):
+    # Nothing in the package names it, so a copy under a second name answers
+    # from its own files, the builtin s1 table among them.
+    shutil.copytree(Path(tmflevels.__file__).parent, tmp_path / "tmflevels_copy",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    probe = """if True:
+        import io, json, sys
+        import tmflevels_copy.cli as cli
+
+        out = io.StringIO()
+        code = cli.main(["duality", "--n", "23"], out)
+        print(json.dumps([code, json.loads(out.getvalue()),
+                          sorted(n for n in sys.modules if n.split(".")[0] == "tmflevels")]))
+    """
+    code, payload, loaded = run_python(probe, str(tmp_path))
+    assert (code, loaded) == (0, [])
+    assert payload == json.loads(run(["duality", "--n", "23"])[1])
 
 
 def test_hfpss_preset_json():

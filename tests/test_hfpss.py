@@ -877,17 +877,46 @@ def test_render_json_is_json_dumps_of_chart_to_dict():
 
 
 def test_render_ascii_cells_sum_the_classes_by_group():
-    """Each row is rebuilt cell by cell from ``chart.at``; a cell is centered
-    in 9 columns and is wider only when its counts are."""
+    """Each row is rebuilt cell by cell from ``chart.at``; every cell is
+    centered in 9 columns, or in one more than the longest cell."""
     for chart in writer_charts():
         w = chart.window
         lines = render_ascii(chart).split("\n")
         assert len(lines) == 2 * w.d + 4 and lines[-1] == ""
-        for row, d in zip(lines, range(w.d, -w.d - 1, -1)):
+        grid = []
+        for d in range(w.d, -w.d - 1, -1):
             cells = []
             for c in range(-w.c, w.c + 1):
                 classes = chart.at(c, d)
                 counts = [sum(n for _, g, n in classes if g == group)
                           for group in (GROUP_Z, GROUP_Z_DIV2, GROUP_Z2)]
                 cells.append("/".join(map(str, counts)) if classes else ".")
-            assert row == f"{d:>4} |" + "".join(cell.center(9) for cell in cells), (chart.ring, w, d)
+            grid.append((d, cells))
+        width = max(9, 1 + max(len(cell) for _, cells in grid for cell in cells))
+        for row, (d, cells) in zip(lines, grid):
+            assert row == f"{d:>4} |" + "".join(cell.center(width) for cell in cells), (chart.ring, w, d)
+
+
+def test_render_ascii_columns_line_up_with_their_axis_labels():
+    """Cut at the width of the axis labels' columns, every row of a grid with
+    cells wider than 9 splits into one cell per column, with a space to spare
+    in each, centered over its label: wide cells never run together."""
+    spec = load_ringspec(GOLDEN / "ring_twenty_laurent.json")
+    for w in (Window(2, 2, 2), Window(3, 1, 2), Window(0, 2, 1)):
+        *rows, axis, labels, end = render_ascii(compute_einfty(spec, w, STRATEGY_CLOSED)).split("\n")
+        columns = 2 * w.c + 1
+        width, rest = divmod(len(labels) - 6, columns)
+        assert (rest, end, len(rows)) == (0, "", 2 * w.d + 1) and width > 9
+        assert len(axis) == len(labels)
+
+        def cut(line):
+            return [line[6 + j * width:6 + (j + 1) * width] for j in range(columns)]
+
+        assert [slot.strip() for slot in cut(labels)] == [str(c) for c in range(-w.c, w.c + 1)]
+        for row in rows:
+            slots = cut(row)
+            assert len(row) == len(labels) and all(" " in slot for slot in slots), (w, row)
+            assert [slot.strip() for slot in slots] == row[6:].split(), (w, row)
+            for slot in slots:
+                left, right = len(slot) - len(slot.lstrip()), len(slot) - len(slot.rstrip())
+                assert abs(left - right) <= 1, (w, slot)
