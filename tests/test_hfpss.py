@@ -461,6 +461,18 @@ def test_transfer_check_unsupported():
     assert all(v == "unsupported" for v in out.values())
 
 
+def test_transfer_check_needs_distinct_images_that_do_not_die():
+    source = RingSpec("xy", "Z", (Generator("x", 1), Generator("y", 1)), ("x",), "in_ideal")
+    target = RingSpec("zu", "Z", (Generator("z", 1), Generator("u", 1)), ("z",), "in_ideal")
+    assert transfer_check(source, target, {"x": (1, (1, 0)), "y": (1, (0, 1))}, 3) == {
+        0: True, 1: True}
+    # x and y collide on z
+    assert transfer_check(source, target, {"x": (1, (1, 0)), "y": (1, (1, 0))}, 3)[0] is False
+    # a1 is the only monomial of positive weight up to 1, and it maps to 0 mod 2
+    out = transfer_check(H2P, H2L, {"a1": (2, (1, 0)), "a3": (1, (0, 1))}, max_weight=1)
+    assert out[0] is False
+
+
 def test_v_chain_check_presets():
     r1 = v_chain_check(H1)
     assert r1.effective_height == 1 and not r1.degenerate and r1.rule_vanishes_past_chain
@@ -479,6 +491,21 @@ def test_v_chain_check_degenerate():
     assert set(rep.pages_fired) <= {3}
     chart = compute_einfty(spec, Window(8, 8, 8), STRATEGY_BOTH)
     assert chart.collapse_page == 4
+
+
+def test_v_chain_check_sees_a_differential_past_the_chain(monkeypatch):
+    compute = hfpss.compute_einfty
+    with monkeypatch.context() as patch:  # the rule fires past v_2
+        patch.setattr(hfpss, "differential", lambda spec, cls, r: cls)
+        assert v_chain_check(H2P).rule_vanishes_past_chain is False
+
+    def fires_page_15(*args):  # a page past the chain of H2P, whose last is 7
+        chart = compute(*args)
+        return EinftyChart(chart.ring, chart.window, chart.bound, chart.collapse_page,
+                           (*chart.pages_fired, 15), chart.entries)
+
+    monkeypatch.setattr(hfpss, "compute_einfty", fires_page_15)
+    assert v_chain_check(H2P).rule_vanishes_past_chain is False
 
 
 def test_ro2degree_arithmetic():
