@@ -126,11 +126,7 @@ def anderson_symmetry_check(
     for m in range(lo, hi + 1):
         if not (lo <= -m - l <= hi):
             continue
-        r1 = _rank_at_stem(rt, m)
-        r2 = _rank_at_stem(rt, -m - l)
-        if r1 is UNKNOWN or r2 is UNKNOWN:
-            return UNKNOWN, None
-        if r1 != r2:
+        if _rank_at_stem(rt, m) != _rank_at_stem(rt, -m - l):
             return False, m
     return True, None
 

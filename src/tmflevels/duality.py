@@ -14,11 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cohomology import UNKNOWN, S1Table, s1
-from .levels import curve_invariants, dsum_f, dsum_g, factorize, is_prime
-
-# Dualizing twists of the weighted projective lines for n <= 4, checked by hand
-# on P(4,6), P(2,4), P(1,3), P(1,2): the twist is -(a+b)/gcd-normalized degree.
-STACKY_TWISTS = {1: -10, 2: -6, 3: -4, 4: -3}
+from .levels import STACKY_WEIGHTS, curve_invariants, dsum_f, dsum_g, factorize, is_prime
 
 # Degree-equality levels (f(n) = 12 g(n)) whose weight-1 cusp space is known to
 # be one-dimensional; among the six solutions only n=23 qualifies.
@@ -33,6 +29,8 @@ REASON_NONE = "none"
 def twist(n: int, table: S1Table | None = None) -> int | None:
     """The integer i with Omega^1 = omega^i on X_1(n), or None.
 
+    n <= 4: X_1(n) is the weighted projective line P(a, b) of
+    ``STACKY_WEIGHTS``, whose dualizing sheaf is O(-a - b), so i = -a - b.
     Genus 0 (n >= 5): i = -2/deg(omega) when integral.  Genus 1: i = 0.
     Higher genus: i = 1 exactly when 2g-2 = deg(omega) and s1(n) = 1.  Those
     levels are ``degreecomp_solutions(42)`` (complete by
@@ -42,7 +40,8 @@ def twist(n: int, table: S1Table | None = None) -> int | None:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n <= 4:
-        return STACKY_TWISTS[n]
+        a, b = STACKY_WEIGHTS[n]
+        return -a - b
     inv = curve_invariants(n)
     if inv.genus == 0:
         q = Fraction(-2, inv.deg_omega)

@@ -31,11 +31,13 @@ sublattices.
 
 Both strategies walk a box layer by layer: the slots at filtration s and
 u-exponent m have the weights c - 2m of one interval of c.  ``closed_form``
-counts each weight's monomials by valuation with one generating function
-per row (``_valuation_counts``) and tables the sums of rows once per
-(e, b(s)).  ``page_by_page`` holds its padded region as one bitset per (s, m)
-layer, a bit per class indexed by a dense exponent code, built as a
-difference of per-weight prefix sums.  It lists no monomial either: one
+counts each weight's monomials of valuation >= l, the basis of
+R/(v_1, ..., v_l), as one generating function for the deepest quotient, each
+shallower one derived from the next by dividing by 1 - t^|v_l|
+(``_free_counts``), and tables differences of rows once per (e, b(s)).
+``page_by_page`` holds its padded region as one bitset per (s, m) layer, a
+bit per class indexed by a dense exponent code, built as a difference of
+per-weight prefix sums.  It lists no monomial either: one
 series in t and x = 2^place gives each weight's codes of the v exponents,
 and one more counts the monomials in the other generators within the cap (no
 differential changes their exponents); they take their ranks in one run per
@@ -396,21 +398,21 @@ def _closed_form(spec: RingSpec, window: Window, bound: int) -> dict:
     """Survivors from the predicate in valuation form: a slot of weight w at
     filtration s holds the weight-w monomials with b(s) <= l < e, and at s = 0
     (b = -1) the rest as index-two sublattices.  Its counts are tabled over
-    the box's weights once per (e, b), as differences of ``below``."""
+    the box's weights once per (e, b): the monomials of valuation >= max(b, 0)
+    less those of valuation >= e, and at s = 0 those of valuation >= e, all
+    rows of ``_free_counts``."""
     h = spec.effective_height
     box = _window_box(window)
     w_lo, w_hi = (box[0][0] + box[1][0]) // 2, (box[0][-1] + box[1][-1] + box[2][-1]) // 2
-    below = [[0] * (w_hi - w_lo + 1)]  # below[l]: by weight, the monomials of valuation < l
-    for row in _valuation_counts(spec, bound, w_lo, w_hi):
-        below.append([x + y for x, y in zip(below[-1], row)])
+    free = _free_counts(spec, bound, w_lo, w_hi)
     tables, survivors = {}, {}
     for s, m, c_lo, c_hi in _layers(*box):
         e = _val2(m) if m and _val2(m) < h else h + 1
         b = min(h, (s + 1).bit_length() - 2)
         if (e, b) not in tables:
             lo = max(b, 0)
-            full = [x - y for x, y in zip(below[max(e, lo)], below[lo])]
-            half = [x - y for x, y in zip(below[h + 1], below[e])] if s == 0 else below[0]
+            full = [x - y for x, y in zip(free[lo], free[max(e, lo)])]
+            half = free[e if s == 0 else h + 1]
             tables[e, b] = list(zip(full, half)) if any(full) or any(half) else None
         if table := tables[e, b]:  # None: no layer of this kind holds a class
             i = c_lo - 2 * m - w_lo
@@ -591,48 +593,36 @@ MAX_WORK = 1_000_000
 
 
 def _series_order(generators, bound: int, w_hi: int) -> int:
-    """The last power of t that ``_weight_counts`` builds to reach weight w_hi."""
+    """The last power of t that ``_free_counts`` builds to reach weight w_hi."""
     return max(w_hi + bound * sum(g.weight for g in generators if g.invertible), 0)
 
 
-def _weight_counts(generators, bound: int, w_lo: int, w_hi: int) -> list[int]:
-    """Entry w - w_lo: the weight-w monomials in the generators with invertible
-    exponents in [-bound, bound], for w_lo <= w <= w_hi: the coefficient of
-    t^(w + shift), shift = bound * (sum of invertible weights), in
-    prod_inv (1 - t^((2*bound+1)*wt)) / prod_all (1 - t^wt).  One step per
-    weight and generator up to t^(w_hi + shift), priced by ``_work``."""
-    shift = bound * sum(g.weight for g in generators if g.invertible)
-    order = _series_order(generators, bound, w_hi)
-    series = _poly.series_of_quotient([1], tuple(g.weight for g in generators), order)
-    for g in generators:
+def _free_counts(spec: RingSpec, bound: int, w_lo: int, w_hi: int) -> list[list[int]]:
+    """Row l, entry w - w_lo: the weight-w monomials (invertible exponents in
+    [-bound, bound]) that none of v_1, ..., v_l divides, those of valuation
+    >= l: the basis of R/(v_1, ..., v_l).  Rows 0..h+1; the last is zero.
+
+    Let v_1, ..., v_j be the polynomial v's before the first invertible one,
+    which divides everything, so the rows past j are zero.  Row j is the
+    coefficient of t^(w + shift), shift = bound * (sum of invertible weights),
+    in prod_inv (1 - t^((2*bound+1)*wt)) / prod (1 - t^wt) over the generators
+    other than v_1, ..., v_j, and row l - 1 is row l over 1 - t^|v_l|.  Each
+    denominator of weight wt takes order + 1 - wt steps, priced by ``_work``."""
+    h = spec.effective_height
+    shift = bound * sum(g.weight for g in spec.generators if g.invertible)
+    order = _series_order(spec.generators, bound, w_hi)
+    j = next((l for l, i in enumerate(spec.v_index) if spec.generators[i].invertible), h)
+    rest = [g for i, g in enumerate(spec.generators) if i not in spec.v_index[:j]]
+    rows = [_poly.series_of_quotient([1], tuple(g.weight for g in rest), order)]
+    for g in rest:
         if g.invertible:  # times 1 - t^cap: the exponent stays within [-bound, bound]
             cap = (2 * bound + 1) * g.weight
             for i in range(order, cap - 1, -1):
-                series[i] -= series[i - cap]
-    return [series[w + shift] if w + shift >= 0 else 0 for w in range(w_lo, w_hi + 1)]
-
-
-def _valuation_rows(spec: RingSpec):
-    """(generators, shift) for each row l of ``_valuation_counts`` that is not
-    zero: v_1, ..., v_l are left out, and a polynomial v_(l+1) is taken at
-    least once, which shifts the row by its weight.  An invertible v_(l+1)
-    divides everything, so the rows past it are zero."""
-    h = spec.effective_height
-    for l in range(h + 1):
-        rest = tuple(g for i, g in enumerate(spec.generators) if i not in spec.v_index[:l])
-        v = spec.generators[spec.v_index[l]] if l < h else None
-        yield rest, v.weight if v and not v.invertible else 0
-        if v and v.invertible:
-            return
-
-
-def _valuation_counts(spec: RingSpec, bound: int, w_lo: int, w_hi: int) -> list[list[int]]:
-    """Row l, entry w - w_lo: the weight-w monomials (invertible exponents in
-    [-bound, bound]) of v-valuation l, that is, divisible by v_(l+1) and by
-    none of v_1, ..., v_l; row h counts those that no v divides."""
-    rows = [_weight_counts(gens, bound, w_lo - shift, w_hi - shift)
-            for gens, shift in _valuation_rows(spec)]
-    return rows + [[0] * (w_hi - w_lo + 1)] * (spec.effective_height + 1 - len(rows))
+                rows[0][i] -= rows[0][i - cap]
+    for i in reversed(spec.v_index[:j]):  # row l - 1 is row l over 1 - t^|v_l|
+        rows.insert(0, _poly.series_of_quotient(rows[0], (spec.generators[i].weight,), order))
+    return [[row[w + shift] if w + shift >= 0 else 0 for w in range(w_lo, w_hi + 1)]
+            for row in rows] + [[0] * (w_hi - w_lo + 1)] * (h + 1 - j)
 
 
 def _residues(rng: range, q: int) -> int:
@@ -659,8 +649,9 @@ def _work(spec: RingSpec, window: Window, bound: int, strategy: str) -> int:
     bitsets (one per layer of the region, and per weight an entry of the
     prefix sums of all and of capped bits) or the steps of its series,
     whichever is more, and for ``closed_form`` the steps of the series of
-    ``_valuation_counts``.  Past ``MAX_WORK`` in slots, or in slots and the
-    reference's steps, only those: no table is built."""
+    ``_free_counts``, order + 1 - weight per generator.  Past ``MAX_WORK`` in
+    slots, or in slots and the reference's steps, only those: no table is
+    built."""
     page_box, box = _page_box(spec, window, bound), _window_box(window)
     pages, closed = strategy != STRATEGY_CLOSED, strategy != STRATEGY_PAGES
     work = pages * _slot_count(*page_box[:3]) + closed * _slot_count(*box)
@@ -677,9 +668,8 @@ def _work(spec: RingSpec, window: Window, bound: int, strategy: str) -> int:
         layer_bytes = -(-radix * _ranks(layout)[1] // 8)
         work += max(steps, -(-n_bitsets * layer_bytes // 8))
     if closed:
-        w_hi = (box[0][-1] + box[1][-1] + box[2][-1]) // 2
-        work += sum((_series_order(gens, bound, w_hi - shift) + 1) * len(gens)
-                    for gens, shift in _valuation_rows(spec))
+        order = _series_order(spec.generators, bound, (box[0][-1] + box[1][-1] + box[2][-1]) // 2)
+        work += sum(max(0, order + 1 - g.weight) for g in spec.generators)
     return work
 
 
@@ -772,60 +762,33 @@ def transfer_check(
     v-ideals is exponent-wise: a monomial dies iff some listed v has positive
     exponent in it.  Weights 0..max_weight are compared.
     """
-    images: dict[str, object] = {}
-    unsupported = False
+    images = []
     for g in source.generators:
         if g.sym not in gen_map:
             raise ValueError(f"no image for generator {g.sym}")
-        img = _normalize_image(target, gen_map[g.sym])
-        if img == "unsupported":
-            unsupported = True
-        images[g.sym] = img
-
-    def reduced_basis(spec: RingSpec, vsyms, w):
-        idxs = [spec.gen_index(s) for s in vsyms]
-        return [
-            exps for exps in weight_basis(spec, w, bound)
-            if all(exps[i] == 0 for i in idxs)
-        ]
-
+        images.append(_normalize_image(target, gen_map[g.sym]))
     levels = range(0, min(source.height, target.height) + 1)
+    if "unsupported" in images:
+        return dict.fromkeys(levels, "unsupported")
+
+    def image(exps):  # None when a generator that occurs maps to 0 mod 2
+        img = [0] * len(target.generators)
+        for gi, x in zip(images, exps):
+            if x:
+                if gi is None:
+                    return None
+                img = [y + e * x for y, e in zip(img, gi)]
+        return tuple(img)
+
+    mapped = [(exps, image(exps)) for w in range(max_weight + 1)
+              for exps in weight_basis(source, w, bound)]
     out = {}
-    for i in levels:
-        if unsupported:
-            out[i] = "unsupported"
-            continue
-        src_v = source.v[:i]
-        tgt_v = target.v[:i]
-        tgt_idxs = [target.gen_index(s) for s in tgt_v]
-        seen: dict = {}
-        ok = True
-        for w in range(0, max_weight + 1):
-            for exps in reduced_basis(source, src_v, w):
-                img = [0] * len(target.generators)
-                zero = False
-                for g, x in zip(source.generators, exps):
-                    if x == 0:
-                        continue
-                    gi = images[g.sym]
-                    if gi is None:
-                        zero = True
-                        break
-                    for j, e in enumerate(gi):
-                        img[j] += e * x
-                if not zero:
-                    zero = any(img[j] >= 1 for j in tgt_idxs)
-                if zero:
-                    ok = False
-                    break
-                key = tuple(img)
-                if key in seen:
-                    ok = False
-                    break
-                seen[key] = exps
-            if not ok:
-                break
-        out[i] = ok
+    for i in levels:  # level i keeps the monomials free of the source's v_1, ..., v_i
+        src = [source.gen_index(sym) for sym in source.v[:i]]
+        tgt = [target.gen_index(sym) for sym in target.v[:i]]
+        imgs = [img for exps, img in mapped if not any(exps[k] for k in src)]
+        out[i] = (None not in imgs and len(set(imgs)) == len(imgs)
+                  and not any(img[k] >= 1 for img in imgs for k in tgt))
     return out
 
 

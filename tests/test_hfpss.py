@@ -24,6 +24,7 @@ from tmflevels.hfpss import (
     Window,
     _auto_bound,
     _closed_form,
+    _free_counts,
     _layer_count,
     _layers,
     _layout,
@@ -32,8 +33,6 @@ from tmflevels.hfpss import (
     _page_by_page,
     _ranks,
     _slot_count,
-    _valuation_counts,
-    _weight_counts,
     _window_box,
     _work,
     chart_to_dict,
@@ -468,6 +467,9 @@ def test_transfer_check_needs_distinct_images_that_do_not_die():
         0: True, 1: True}
     # x and y collide on z
     assert transfer_check(source, target, {"x": (1, (1, 0)), "y": (1, (1, 0))}, 3)[0] is False
+    # y survives mod x, but its image z dies mod z
+    assert transfer_check(source, target, {"x": (1, (0, 1)), "y": (1, (1, 0))}, 3) == {
+        0: True, 1: False}
     # a1 is the only monomial of positive weight up to 1, and it maps to 0 mod 2
     out = transfer_check(H2P, H2L, {"a1": (2, (1, 0)), "a3": (1, (0, 1))}, max_weight=1)
     assert out[0] is False
@@ -731,12 +733,12 @@ def test_ringspec_derived_fields_stay_out_of_eq_hash_repr_and_dict():
 
 def series_steps(monkeypatch, run) -> int:
     """The steps of the series built while ``run()`` runs: for ``fast`` one
-    per power of t and generator, for ``reference`` one per entry of each
-    ``_series`` result."""
+    per power of t from each denominator's weight up, for ``reference`` one
+    per entry of each ``_series`` result."""
     steps, quotient, series = [], _poly.series_of_quotient, hfpss._series
 
     def spy_quotient(num, den_exponents, order):
-        steps.append((order + 1) * len(den_exponents))
+        steps.append(sum(max(0, order + 1 - e) for e in den_exponents))
         return quotient(num, den_exponents, order)
 
     def spy_series(*args):
@@ -849,19 +851,18 @@ def test_closed_form_enumerates_nothing(monkeypatch):
             assert compute_einfty(spec, window, strategy).entries == entries, (spec.name, window)
 
 
-def test_valuation_rows_count_the_monomials_by_lowest_dividing_v():
+def test_free_counts_count_the_monomials_no_early_v_divides():
     for spec in (*ORACLE_RINGS, TWELVE, INV_REST):
         h = spec.effective_height
         for bound, w_lo, w_hi in ((1, -6, 6), (3, -3, 6)):
-            rows = _valuation_counts(spec, bound, w_lo, w_hi)
-            assert len(rows) == h + 1
+            rows = _free_counts(spec, bound, w_lo, w_hi)
+            assert len(rows) == h + 2 and not any(rows[h + 1])
             for w in range(w_lo, w_hi + 1):
-                found = [0] * (h + 1)
-                for exps in weight_basis(spec, w, bound):
-                    found[next((j for j in range(h) if spec.divides(spec.v[j], exps)), h)] += 1
-                assert [row[w - w_lo] for row in rows] == found, (spec.name, bound, w)
-            total = _weight_counts(spec.generators, bound, w_lo, w_hi)
-            assert [sum(col) for col in zip(*rows)] == total, (spec.name, bound)
+                basis = weight_basis(spec, w, bound)
+                found = [sum(1 for exps in basis if not any(spec.divides(v, exps)
+                                                            for v in spec.v[:l]))
+                         for l in range(h + 1)]
+                assert [row[w - w_lo] for row in rows[:h + 1]] == found, (spec.name, bound, w)
 
 
 def test_closed_form_is_priced_by_its_series_steps(monkeypatch):
