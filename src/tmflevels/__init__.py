@@ -7,6 +7,8 @@ Modules:
     splitting    suspension-shift multisets for module decompositions
     duality      Anderson self-duality classification and shift arithmetic
     hfpss        regular RO(C2)-graded homotopy fixed point spectral sequences
+    hfpss_api    per-class HFPSS library API (E2 classes, differentials,
+                 transfer and v-chain checks), used by no command
     equivariant  finite-abelian fixed point components
     cli          command line interface
 """

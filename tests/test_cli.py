@@ -201,9 +201,10 @@ def test_cli_import_loads_no_process_pool():
                      ["hfpss", "--ring", "height1-laurent", "--window", "2", "2", "2"]):
             assert cli.main(argv, io.StringIO()) == 0
             seen.append(ran())
+        seen.append("tmflevels.hfpss_api" in sys.modules)
         print(json.dumps(seen))
     """
-    assert run_python(probe) == [[], [], [], ["duality"], ["duality", "hfpss"]]
+    assert run_python(probe) == [[], [], [], ["duality"], ["duality", "hfpss"], False]
 
 
 @pytest.mark.parametrize("before", ["import tmflevels.hfpss, tmflevels.equivariant", "pass"])

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tmflevels import _poly, hfpss
+from tmflevels import _poly, hfpss, hfpss_api
 from tmflevels.hfpss import (
     GROUP_Z,
     GROUP_Z2,
@@ -435,9 +435,19 @@ def test_a_multiplication_above_line():
 
 
 def test_transfer_check_inclusion():
+    # a3 is a unit of height2-laurent, so its quotient by (2, a1, a3) is zero
+    # and the unit monomial of the source's F2 maps to zero at level 2
     gen_map = {"a1": (1, (1, 0)), "a3": (1, (0, 1))}
     out = transfer_check(H2P, H2L, gen_map, max_weight=8)
-    assert out == {0: True, 1: True, 2: True}
+    assert out == {0: True, 1: True, 2: False}
+
+
+def test_transfer_check_kills_by_divisibility():
+    # b1 is an invertible v_1 of inv-v1, so R/(2, b1) = 0: level 1 keeps no
+    # source monomial and holds vacuously.  Level 0 fails: b1^e a3^k goes to
+    # b1^(e + 3k), one image per weight.
+    gen_map = {"b1": (1, (1, 0)), "a3": (1, (3, 0))}
+    assert transfer_check(INV_V1, INV_V1, gen_map, max_weight=3) == {0: False, 1: True, 2: True}
 
 
 def test_transfer_check_zero_map_fails():
@@ -498,7 +508,7 @@ def test_v_chain_check_degenerate():
 def test_v_chain_check_sees_a_differential_past_the_chain(monkeypatch):
     compute = hfpss.compute_einfty
     with monkeypatch.context() as patch:  # the rule fires past v_2
-        patch.setattr(hfpss, "differential", lambda spec, cls, r: cls)
+        patch.setattr(hfpss_api, "differential", lambda spec, cls, r: cls)
         assert v_chain_check(H2P).rule_vanishes_past_chain is False
 
     def fires_page_15(*args):  # a page past the chain of H2P, whose last is 7
@@ -508,6 +518,14 @@ def test_v_chain_check_sees_a_differential_past_the_chain(monkeypatch):
 
     monkeypatch.setattr(hfpss, "compute_einfty", fires_page_15)
     assert v_chain_check(H2P).rule_vanishes_past_chain is False
+
+
+def test_library_api_names_resolve_from_the_engine():
+    for name in hfpss_api.__all__:
+        assert getattr(hfpss, name) is getattr(hfpss_api, name), name
+    # any other name raises AttributeError, so getattr with a default works
+    assert not hasattr(hfpss, "no_such_name")
+    assert getattr(hfpss, "no_such_name", None) is None
 
 
 def test_ro2degree_arithmetic():
@@ -845,7 +863,7 @@ def test_closed_form_enumerates_nothing(monkeypatch):
     expected = {(spec, window): per_monomial_closed_form(spec, window, _auto_bound(spec, window))
                 for spec in (*ORACLE_RINGS, INV_REST, OUTSIDE)
                 for window in (Window(0, 0, 0), Window(3, 1, 7), Window(7, 12, 3))}
-    monkeypatch.setattr(hfpss, "weight_basis", no_enumeration)
+    monkeypatch.setattr(hfpss_api, "weight_basis", no_enumeration)
     for (spec, window), entries in expected.items():
         for strategy in (STRATEGY_CLOSED, STRATEGY_PAGES, STRATEGY_BOTH):
             assert compute_einfty(spec, window, strategy).entries == entries, (spec.name, window)
