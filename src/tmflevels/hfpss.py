@@ -29,29 +29,36 @@ l < e makes it a permanent cycle and b(s) <= l keeps it off every image.  At
 filtration 0 the survivors are full lattices and the rest index-two
 sublattices.
 
-Both strategies walk a box layer by layer: the slots at filtration s and
-u-exponent m have the weights c - 2m of one interval of c.  ``closed_form``
-counts each weight's monomials of valuation >= l, the basis of
-R/(v_1, ..., v_l), as one generating function for the deepest quotient, each
-shallower one derived from the next by dividing by 1 - t^|v_l|
-(``_free_counts``), and tables differences of rows once per (e, b(s)).
-``page_by_page`` holds its padded region as one bitset per (s, m) layer, a
-bit per class indexed by a dense exponent code, built as a difference of
-per-weight prefix sums.  It lists no monomial either: one
+Both strategies work on the layers of a box: the slots at filtration s and
+u-exponent m have the weights c - 2m of one interval of c, and at each s the
+layers' m form one range (``_m_range``).  ``closed_form`` counts each
+weight's monomials of valuation >= l, the basis of R/(v_1, ..., v_l), as one
+generating function for the deepest quotient, each shallower one derived
+from the next by dividing by 1 - t^|v_l| (``_free_counts``), and tables
+differences of rows up front, once per (e, b) kind.  ``page_by_page`` holds
+its padded region as one row of bitsets per filtration s, indexed by
+m - m_lo(s), a bit per class indexed by a dense exponent code; each layer is
+a difference of per-weight prefix sums.  It lists no monomial either: one
 series in t and x = 2^place gives each weight's codes of the v exponents,
 and one more counts the monomials in the other generators within the cap (no
 differential changes their exponents); they take their ranks in one run per
 weight.  Every differential of a page moves a bit by the same place into the
-layer a^r u^(-2^e) away, so a page is one shift and mask per source layer.
+layer a^r u^(-2^e) away.  Page e's sources are every 2^(e+1)-th layer of a
+row, from its first m = 2^e mod 2^(e+1), and a source's target is in row
+s + r at m - 2^e, so a page is one shift and mask per source layer.
 
-Each strategy reads out only the window's layers that hold a class, decided
-from its own data: ``closed_form`` skips the layers whose (e, b(s)) table is
-zero at every weight, and ``page_by_page`` those whose live bits (and at
-s = 0 its index-two lattice) miss the capped bits of the layer's weights,
-one difference of a prefix sum.  A skipped layer has no nonzero count, and
-only nonzero counts are filed, so the chart cannot change.  Layers are
-walked by s, so a degree's classes come out sorted: s ascending, and Z
-before Z_div2.
+Each strategy reads out only the window's layers that can hold a class,
+decided from its own data.  ``closed_form`` visits, at each s, only the m of
+the kinds whose table is not zero at some weight: 2^e (2k + 1) for e < h,
+and the multiples of 2^h for e = h + 1.  So it touches no layer above a
+vanishing line, nor one of a dead kind.  ``page_by_page`` skips the layers
+that are empty after firing, then those whose live bits (and at s = 0 its
+index-two lattice) miss the capped bits of the layer's weights, one
+difference of a prefix sum; it counts the rest against each weight's capped
+bits, taken once per request.  A skipped layer has no nonzero count, and
+only nonzero counts are filed, so the chart cannot change.  Both walk s
+outermost, so a degree's classes come out sorted: s ascending, and Z before
+Z_div2.
 
 Before either strategy runs its work is counted in arithmetic, walking no
 layer: slots visited, plus for ``page_by_page`` the 64-bit words of its
@@ -179,10 +186,6 @@ class RingSpec:
         return None
 
 
-def _val2(m: int) -> int:
-    return (m & -m).bit_length() - 1
-
-
 @dataclass(frozen=True)
 class Window:
     """Symmetric degree rectangle |c| <= c, |d| <= d with filtration <= f."""
@@ -251,12 +254,18 @@ def _page_box(spec: RingSpec, window: Window, bound: int) -> tuple[range, range,
     )
 
 
+def _m_range(cr: range, dr: range, s: int) -> range:
+    """The u-exponents m of a box's nonempty layers at filtration s."""
+    return range(-((dr[-1] + s - cr[0]) // 4), (cr[-1] - dr[0] - s) // 4 + 1)
+
+
 def _layers(cr: range, dr: range, sr: range):
-    """(s, m, c_lo, c_hi) for each nonempty layer of a box.  The slots at
-    filtration s and u-exponent m are c_lo <= c <= c_hi, with d = c - s - 4m
-    and weight w = c - 2m, so a layer's weights form one interval."""
+    """(s, m, c_lo, c_hi) for each nonempty layer of a box, the walk
+    ``_layer_count`` counts.  The slots at filtration s and u-exponent m are
+    c_lo <= c <= c_hi, with d = c - s - 4m and weight w = c - 2m, so a
+    layer's weights form one interval."""
     for s in sr:
-        for m in range(-((dr[-1] + s - cr[0]) // 4), (cr[-1] - dr[0] - s) // 4 + 1):
+        for m in _m_range(cr, dr, s):
             yield s, m, max(cr[0], dr[0] + s + 4 * m), min(cr[-1], dr[-1] + s + 4 * m)
 
 
@@ -277,25 +286,33 @@ def _closed_form(spec: RingSpec, window: Window, bound: int) -> dict:
     """Survivors from the predicate in valuation form: a slot of weight w at
     filtration s holds the weight-w monomials with b(s) <= l < e, and at s = 0
     (b = -1) the rest as index-two sublattices.  Its counts are tabled over
-    the box's weights once per (e, b): the monomials of valuation >= max(b, 0)
-    less those of valuation >= e, and at s = 0 those of valuation >= e, all
-    rows of ``_free_counts``."""
+    the box's weights up front, once per (e, b) kind: the monomials of
+    valuation >= max(b, 0) less those of valuation >= e, and at s = 0 those of
+    valuation >= e, all rows of ``_free_counts``.  At each s only the m of the
+    kinds whose table is not zero are visited: 2^e (2k + 1) for e < h, and
+    the multiples of 2^h for e = h + 1."""
     h = spec.effective_height
-    box = _window_box(window)
-    w_lo, w_hi = (box[0][0] + box[1][0]) // 2, (box[0][-1] + box[1][-1] + box[2][-1]) // 2
+    cr, dr, sr = _window_box(window)
+    w_lo, w_hi = (cr[0] + dr[0]) // 2, (cr[-1] + dr[-1] + sr[-1]) // 2
     free = _free_counts(spec, bound, w_lo, w_hi)
-    tables, survivors = {}, {}
-    for s, m, c_lo, c_hi in _layers(*box):
-        e = _val2(m) if m and _val2(m) < h else h + 1
-        b = min(h, (s + 1).bit_length() - 2)
-        if (e, b) not in tables:
-            lo = max(b, 0)
+    kinds = []  # by b + 1: (first m, step, table) of each kind that holds a class
+    for b in range(-1, min(h, (sr[-1] + 1).bit_length() - 2) + 1):
+        lo, live = max(b, 0), []
+        for e in (*range(h), h + 1):
             full = [x - y for x, y in zip(free[lo], free[max(e, lo)])]
-            half = free[e if s == 0 else h + 1]
-            tables[e, b] = list(zip(full, half)) if any(full) or any(half) else None
-        if table := tables[e, b]:  # None: no layer of this kind holds a class
-            i = c_lo - 2 * m - w_lo
-            _file(survivors, s, m, c_lo, table[i:i + c_hi - c_lo + 1])
+            half = free[e if b < 0 else h + 1]
+            if any(full) or any(half):
+                first, step = (2**e, 2 ** (e + 1)) if e < h else (0, 2**h)
+                live.append((first, step, list(zip(full, half))))
+        kinds.append(live)
+    survivors = {}
+    for s in sr:  # s ascending, so each degree's classes come out sorted
+        ms = _m_range(cr, dr, s)
+        for first, step, table in kinds[min(h, (s + 1).bit_length() - 2) + 1]:
+            for m in range(ms.start + (first - ms.start) % step, ms.stop, step):
+                c_lo, c_hi = max(cr[0], dr[0] + s + 4 * m), min(cr[-1], dr[-1] + s + 4 * m)
+                i = c_lo - 2 * m - w_lo
+                _file(survivors, s, m, c_lo, table[i:i + c_hi - c_lo + 1])
     return {k: tuple(v) for k, v in survivors.items()}
 
 
@@ -387,14 +404,14 @@ def _unit(n: int, place: int) -> int:
 
 
 def _materialize(spec: RingSpec, window: Window, bound: int):
-    """The padded region's E2 classes as a bitset per (s, m) layer, the
-    layout, and the bits of the monomials within the cap as a prefix sum over
-    the weights from the region's lowest.  Weight w's bits are the sum over x
-    of the v codes of weight w - x times the ranks of run x, and the capped
-    ones lie under one mask: every rank, and an invertible v within the cap.
-    A layer is a difference of two prefix sums of all bits, and so is the
-    capped mask of any run of weights: codes of different weights are
-    disjoint."""
+    """The padded region's E2 classes as a bitset per layer, in one row per
+    filtration s indexed by m - m_lo(s) (``_m_range``), the layout, and the
+    bits of the monomials within the cap as a prefix sum over the weights
+    from the region's lowest.  Weight w's bits are the sum over x of the v
+    codes of weight w - x times the ranks of run x, and the capped ones lie
+    under one mask: every rank, and an invertible v within the cap.  A layer
+    is a difference of two prefix sums of all bits, and so is the capped mask
+    of any run of weights: codes of different weights are disjoint."""
     layout = _layout(spec, window, bound)
     (cr, dr, sr, _), _, rank_place, (codes, _) = layout
     runs, n_ranks = _ranks(layout)
@@ -411,21 +428,24 @@ def _materialize(spec: RingSpec, window: Window, bound: int):
             if code := table.get(w - x):
                 bits += code * run << at
         prefix.append(prefix[-1] + bits)
-    layers = {(s, m): prefix[c_hi - 2 * m - w_lo + 1] - prefix[c_lo - 2 * m - w_lo]
-              for s, m, c_lo, c_hi in _layers(cr, dr, sr)}
-    return layers, layout, [bits & mask for bits in prefix]
+    # layer (s, m) has the weights max(c_lo - 2m, d_lo + s + 2m) up to
+    # min(c_hi - 2m, d_hi + s + 2m), here less w_lo
+    c_lo, c_hi, d_lo, d_hi = cr[0] - w_lo, cr[-1] - w_lo + 1, dr[0] - w_lo, dr[-1] - w_lo + 1
+    rows = [[prefix[min(c_hi - 2 * m, d_hi + s + 2 * m)]
+             - prefix[max(c_lo - 2 * m, d_lo + s + 2 * m)] for m in _m_range(cr, dr, s)]
+            for s in sr]
+    return rows, layout, [bits & mask for bits in prefix]
 
 
 def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[dict, tuple[int, ...]]:
-    """Fire each page on ``_materialize``'s layers.  A source layer's ``hit``,
-    its live bits whose target (bit + place, in the layer a^r u^(-2^e) away)
-    is live, leaves both layers; at s = 0 it is kept in ``half``.  A target
-    layer outside the region is missing, and holds nothing."""
+    """Fire each page on ``_materialize``'s rows.  Page e's sources are the
+    layers m = 2^e mod 2^(e+1) of each row; a source's ``hit``, its live bits
+    whose target (bit + place, in the layer a^r u^(-2^e) away) is live, leaves
+    both layers; at s = 0 it is kept in ``half``.  A target layer outside the
+    region holds nothing."""
     h = spec.effective_height
-    layers, (box, digits, _, _), capped = _materialize(spec, window, bound)
-    sources: dict = {}  # page e fires from the layers with val2(m) = e
-    for key in layers:
-        sources.setdefault(_val2(key[1]), []).append(key)
+    rows, (box, digits, _, _), capped = _materialize(spec, window, bound)
+    m_lo = [_m_range(box[0], box[1], s).start for s in box[2]]
 
     half, fired = {}, []
     for e in range(h):  # past the non-degenerate chain there is no v_{e+1}: d_r = 0
@@ -436,29 +456,37 @@ def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[dict, tup
         if (dw + 2 * dm, dw - 2 * dm - ds, ds) != (-1, 0, r):
             raise ArithmeticError("differential degree bookkeeping violated")
         place, page_fired = digits[idx][1], False
-        for s, m in sources.get(e, ()):
-            if not (src := layers[s, m]):
-                continue
-            tgt = layers.get((s + ds, m + dm), 0)
-            if hit := src & (tgt >> place):
-                layers[s, m], layers[s + ds, m + dm] = src ^ hit, tgt ^ hit << place
-                if s == 0:
-                    half[m] = hit
-                page_fired = True
+        for s in range(len(rows) - ds):
+            row, target = rows[s], rows[s + ds]
+            shift = m_lo[s] + dm - m_lo[s + ds]  # source index to target index
+            for i in range((2**e - m_lo[s]) % 2 ** (e + 1), len(row), 2 ** (e + 1)):
+                if not (src := row[i]) or not 0 <= (j := i + shift) < len(target):
+                    continue
+                if hit := src & (target[j] >> place):
+                    row[i], target[j] = src ^ hit, target[j] ^ hit << place
+                    if s == 0:
+                        half[m_lo[0] + i] = hit
+                    page_fired = True
         if page_fired:
             fired.append(r)
 
     survivors: dict = {}
+    caps = [b - a for a, b in zip(capped, capped[1:])]  # each weight's capped bits
     w_lo = (box[0][0] + box[1][0]) // 2
-    for s, m, c_lo, c_hi in _layers(*_window_box(window)):
-        lo, hi = c_lo - 2 * m - w_lo, c_hi - 2 * m - w_lo + 1
-        layer, lattice = layers[s, m], 0 if s else half.get(m, 0)
-        if not (layer | lattice) & (capped[hi] - capped[lo]):
-            continue  # no class of this layer is within the cap
-        _file(survivors, s, m, c_lo, [
-            ((layer & (cap := capped[i + 1] - capped[i])).bit_count(), (lattice & cap).bit_count())
-            for i in range(lo, hi)
-        ])
+    cr, dr, sr = _window_box(window)
+    for s in sr:
+        ms = _m_range(cr, dr, s)
+        for m, layer in zip(ms, rows[s][ms.start - m_lo[s]:ms.stop - m_lo[s]]):
+            lattice = 0 if s else half.get(m, 0)
+            if not (layer or lattice):
+                continue
+            c_lo = max(cr[0], dr[0] + s + 4 * m)
+            lo, hi = c_lo - 2 * m - w_lo, min(cr[-1], dr[-1] + s + 4 * m) - 2 * m - w_lo + 1
+            if not (layer | lattice) & (capped[hi] - capped[lo]):
+                continue  # no class of this layer is within the cap
+            _file(survivors, s, m, c_lo, [
+                ((layer & cap).bit_count(), (lattice & cap).bit_count()) for cap in caps[lo:hi]
+            ])
     return {k: tuple(v) for k, v in survivors.items()}, tuple(fired)
 
 
@@ -586,25 +614,20 @@ def compute_einfty(
     return EinftyChart(spec.name, window, bound, collapse, fired, pages)
 
 
+_PRESETS = {spec.name: spec for spec in (
+    RingSpec("height1-laurent", "Z2loc", (Generator("beta", 1, True),), ("beta",), TERM_INVERTIBLE),
+    RingSpec("height2-poly", "Z2loc", (Generator("a1", 1), Generator("a3", 3)),
+             ("a1", "a3"), TERM_IN_IDEAL),
+    RingSpec("height2-laurent", "Z2loc", (Generator("a1", 1), Generator("a3", 3, True)),
+             ("a1", "a3"), TERM_INVERTIBLE),
+)}
+
+
 def presets() -> dict[str, RingSpec]:
-    """The three stock coefficient rings exercising every engine behavior."""
-    return {
-        "height1-laurent": RingSpec(
-            "height1-laurent", "Z2loc",
-            (Generator("beta", 1, True),),
-            ("beta",), TERM_INVERTIBLE,
-        ),
-        "height2-poly": RingSpec(
-            "height2-poly", "Z2loc",
-            (Generator("a1", 1), Generator("a3", 3)),
-            ("a1", "a3"), TERM_IN_IDEAL,
-        ),
-        "height2-laurent": RingSpec(
-            "height2-laurent", "Z2loc",
-            (Generator("a1", 1), Generator("a3", 3, True)),
-            ("a1", "a3"), TERM_INVERTIBLE,
-        ),
-    }
+    """The three stock coefficient rings exercising every engine behavior,
+    built and validated once; a new dict each call, so editing one changes
+    no other."""
+    return dict(_PRESETS)
 
 
 RING_KEYS = ("name", "base", "generators", "v", "termination")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import hfpss
-from .hfpss import GROUP_Z, GROUP_Z2, STRATEGY_PAGES, EinftyChart, RingSpec, Window, _val2
+from .hfpss import GROUP_Z, GROUP_Z2, STRATEGY_PAGES, EinftyChart, RingSpec, Window
 
 __all__ = [
     "RO2Degree", "weight_basis", "PageClass", "_page_exponent", "e2_basis", "differential",
@@ -136,7 +136,7 @@ def differential(spec: RingSpec, cls: PageClass, r: int) -> PageClass | None:
     """
     e = _page_exponent(r)
     m = cls.u_exp
-    if m == 0 or _val2(m) != e:
+    if m & -m != 2**e:  # m = 0 or val_2(m) != e
         return None
     if e + 1 > spec.effective_height:
         return None

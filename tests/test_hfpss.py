@@ -28,6 +28,7 @@ from tmflevels.hfpss import (
     _layer_count,
     _layers,
     _layout,
+    _m_range,
     _materialize,
     _page_box,
     _page_by_page,
@@ -56,6 +57,7 @@ H1 = P["height1-laurent"]
 H2P = P["height2-poly"]
 H2L = P["height2-laurent"]
 DEGENERATE = RingSpec("degenerate", "Z2loc", (Generator("x", 1),), ("x", "x"), "in_ideal")
+EMPTY_V = RingSpec("empty-v", "Z2loc", (Generator("x", 1),), (), "in_ideal")
 CUSTOM = load_ringspec(Path(__file__).parent / "golden" / "ring_custom.json")
 INV_V1 = RingSpec(
     "inv-v1", "Z2loc", (Generator("b1", 1, True), Generator("a3", 3)), ("b1", "a3"), "in_ideal"
@@ -203,6 +205,11 @@ def test_presets_load_and_validate():
     assert H1.vanishing_line == 2
     assert H2L.vanishing_line == 6
     assert H2P.vanishing_line is None
+    # built once: each call gives a new dict of the same specs
+    fresh = presets()
+    fresh.pop("height1-laurent")
+    assert presets() == P and presets() is not P
+    assert all(presets()[name] is spec for name, spec in P.items())
 
 
 def test_weight_basis_h2l_oracle():
@@ -586,6 +593,42 @@ def test_readout_files_only_the_layers_that_hold_a_class(monkeypatch):
         assert len(filed) < n_layers == 631
 
 
+def test_fast_files_the_layers_of_the_live_kinds(monkeypatch):
+    # the layers _closed_form files are those of the _layers walk whose kind
+    # (e, b) holds a monomial at some weight of the window: any at s = 0, one
+    # of v-valuation b(s) <= l < e above, found by weight_basis and divides
+    def valuation(spec, exps):
+        h = spec.effective_height
+        return next((l for l, v in enumerate(spec.v[:h]) if spec.divides(v, exps)), h)
+
+    flat = (Window(12, 0, 0), Window(0, 12, 0), Window(0, 0, 12))
+    cases = [(spec, window) for spec in (H1, H2P, H2L, EMPTY_V, DEGENERATE)
+             for window in (Window(3, 1, 7), Window(6, 5, 40), Window(0, 9, 40), *flat)]
+    cases += [(spec, window) for spec in (TWELVE, INV_REST, OUTSIDE)
+              for window in (Window(2, 1, 3), Window(4, 0, 0), Window(0, 4, 0), Window(1, 0, 12))]
+    cases.append((H1, Window(24, 24, 25)))
+    for spec, window in cases:
+        h, bound = spec.effective_height, _auto_bound(spec, window)
+        cr, dr, sr = box = _window_box(window)
+        found = {valuation(spec, exps)
+                 for w in range((cr[0] + dr[0]) // 2, (cr[-1] + dr[-1] + sr[-1]) // 2 + 1)
+                 for exps in weight_basis(spec, w, bound)}
+
+        def live(s, m):
+            e = next((k for k in range(h) if m % 2 ** (k + 1)), h + 1)  # val2(m) < h, or h + 1
+            b = min(h, (s + 1).bit_length() - 2)
+            return any(b <= l < e for l in found) if s else bool(found)
+
+        filed, file = [], hfpss._file
+        with monkeypatch.context() as patch:
+            patch.setattr(hfpss, "_file", lambda *args: (filed.append(args[1:3]), file(*args)))
+            _closed_form(spec, window, bound)
+        expected = [(s, m) for s, m, _, _ in _layers(*box) if live(s, m)]
+        assert sorted(filed) == expected, (spec.name, window)
+    # height1-laurent's vanishing line is s = 2: fast visits no layer above it
+    assert filed and max(s for s, _ in filed) == 2
+
+
 def test_chart_classes_come_out_sorted():
     # both strategies file a degree's classes by s, then Z before Z_div2
     for spec in ORACLE_RINGS:
@@ -634,6 +677,13 @@ def test_bitset_engine_equals_the_dict_oracle_outside_the_v_chain():
                 assert _page_by_page(spec, window, bound) == expected, (spec.name, window, bound)
 
 
+def layer_dict(rows, layout) -> dict:
+    """``_materialize``'s rows as a dict (s, m) -> bits: row s holds the
+    layers m_lo(s), m_lo(s) + 1, ... of the padded region."""
+    cr, dr, sr, _ = layout[0]
+    return {(s, m): bits for s, row in zip(sr, rows) for m, bits in zip(_m_range(cr, dr, s), row)}
+
+
 def test_bitsets_hold_each_monomial_once():
     # a layer's bits are the monomials of its slots, and a weight's capped
     # bits those within the cap, both counted by weight_basis: an invertible
@@ -644,7 +694,8 @@ def test_bitsets_hold_each_monomial_once():
                    if g.invertible and i not in spec.v_index]
         for window, bound in ((Window(0, 0, 0), 0), (Window(3, 1, 7), 0), (Window(3, 3, 3), 1)):
             bound = bound or _auto_bound(spec, window)
-            layers, ((cr, dr, sr, pad_b), *_), capped = _materialize(spec, window, bound)
+            rows, layout, capped = _materialize(spec, window, bound)
+            layers, ((cr, dr, sr, pad_b), *_) = layer_dict(rows, layout), layout
             w_lo, w_hi = (cr[0] + dr[0]) // 2, (cr[-1] + dr[-1] + sr[-1]) // 2
             bases = {w: [exps for exps in weight_basis(spec, w, pad_b)
                          if all(abs(exps[i]) <= bound for i in outside)]
@@ -677,9 +728,9 @@ def test_no_bit_holds_a_spare_digit():
     for spec in (*ORACLE_RINGS, TWELVE, INV_REST, OUTSIDE):
         for window in (Window(0, 0, 0), Window(3, 3, 3)):
             for bound in (_auto_bound(spec, window), 1, 2):
-                layers, layout, capped = _materialize(spec, window, bound)
+                rows, layout, capped = _materialize(spec, window, bound)
                 spare = spare_bits(layout, _ranks(layout)[1])
-                assert not any(bits & spare for bits in (*layers.values(), *capped)), (
+                assert not any(bits & spare for bits in (*itertools.chain(*rows), *capped)), (
                     spec.name, window, bound)
 
 
@@ -708,6 +759,7 @@ def test_work_walks_no_layer(monkeypatch):
               for spec in ORACLE_RINGS for window, bound in oracle_cases(spec)
               for strategy in strategies}
     monkeypatch.setattr(hfpss, "_layers", no_walk)
+    monkeypatch.setattr(hfpss, "_m_range", no_walk)  # every layer walk takes its m from it
     for case, price in prices.items():
         assert _work(*case) == price, case
 
@@ -719,8 +771,10 @@ def test_materialized_layers_are_the_page_box_layers():
         for window in (Window(0, 0, 0), Window(3, 1, 7), Window(7, 12, 3), Window(12, 12, 12),
                        Window(0, 0, 40), Window(1, 2, 30)):
             bound = _auto_bound(spec, window)
-            layers, _, _ = _materialize(spec, window, bound)
+            rows, layout, _ = _materialize(spec, window, bound)
             cr, dr, sr, _ = _page_box(spec, window, bound)
+            assert [len(row) for row in rows] == [len(_m_range(cr, dr, s)) for s in sr]
+            layers = layer_dict(rows, layout)
             assert list(layers) == [(s, m) for s, m, _, _ in _layers(cr, dr, sr)], (spec.name, window)
             assert {(s, m) for s, m, _, _ in _layers(*_window_box(window))} <= set(layers)
 
@@ -729,9 +783,11 @@ def test_both_detects_a_skipped_page(monkeypatch):
     materialize = hfpss._materialize
 
     def skip_page_7(spec, window, bound):
-        layers, layout, capped = materialize(spec, window, bound)
+        rows, layout, capped = materialize(spec, window, bound)
+        cr, dr, sr, _ = layout[0]
         # clear the sources of page 7, the layers with val2(m) = 1
-        return {(s, m): 0 if m % 4 == 2 else bits for (s, m), bits in layers.items()}, layout, capped
+        return [[0 if m % 4 == 2 else bits for m, bits in zip(_m_range(cr, dr, s), row)]
+                for s, row in zip(sr, rows)], layout, capped
 
     monkeypatch.setattr(hfpss, "_materialize", skip_page_7)
     assert compute_einfty(H2L, Window(6, 6, 6), STRATEGY_PAGES).pages_fired == (3,)
@@ -779,13 +835,15 @@ def test_work_counts_what_the_strategies_touch(monkeypatch):
             built = []
             ref_steps = series_steps(
                 monkeypatch, lambda: built.append(_materialize(spec, window, bound)))
-            (layers, layout, capped), = built
+            (rows, layout, capped), = built
+            layers = layer_dict(rows, layout)
             (cr, dr, sr, _), _, rank_place, _ = layout
             # a bitset per layer, then per weight a prefix sum of all bits and
             # one of the capped bits, after the empty prefix, each with room
             # for every code of the region
             layer_bytes = -(-rank_place * _ranks(layout)[1] // 8)
-            assert capped[0] == 0 and len(layers) == sum(1 for _ in _layers(cr, dr, sr))
+            assert capped[0] == 0 and len(layers) == sum(map(len, rows)) == sum(
+                1 for _ in _layers(cr, dr, sr))
             assert all(bits.bit_length() <= 8 * layer_bytes for bits in layers.values())
             assert all(bits.bit_length() <= 8 * layer_bytes for bits in capped)
             words = -(-(len(layers) + 2 * (len(capped) - 1)) * layer_bytes // 8)
