@@ -48,17 +48,26 @@ row, from its first m = 2^e mod 2^(e+1), and a source's target is in row
 s + r at m - 2^e, so a page is one shift and mask per source layer.
 
 Each strategy reads out only the window's layers that can hold a class,
-decided from its own data.  ``closed_form`` visits, at each s, only the m of
-the kinds whose table is not zero at some weight: 2^e (2k + 1) for e < h,
-and the multiples of 2^h for e = h + 1.  So it touches no layer above a
-vanishing line, nor one of a dead kind.  ``page_by_page`` skips the layers
-that are empty after firing, then those whose live bits (and at s = 0 its
-index-two lattice) miss the capped bits of the layer's weights, one
-difference of a prefix sum; it counts the rest against each weight's capped
-bits, taken once per request.  A skipped layer has no nonzero count, and
-only nonzero counts are filed, so the chart cannot change.  Both walk s
-outermost, so a degree's classes come out sorted: s ascending, and Z before
-Z_div2.
+decided from its own data, as one record (s, m, c_lo, fulls, halves) per
+layer, s ascending: the full and index-two counts of its slots c = c_lo,
+c_lo + 1, ..., with halves None above s = 0.  ``closed_form`` visits, at
+each s, only the m of the kinds whose table is not zero at some weight:
+2^e (2k + 1) for e < h, and the multiples of 2^h for e = h + 1, and gives
+slices of the kind's tables.  So it touches no layer above a vanishing
+line, nor one of a dead kind.  ``page_by_page`` skips the layers that are
+empty after firing, then those whose live bits (and at s = 0 its index-two
+lattice) miss the capped bits of the layer's weights, one difference of a
+prefix sum; it counts the rest against each weight's capped bits, taken
+once per request.  A skipped layer has no nonzero count, so the chart
+cannot change.  ``both`` compares the records that hold a class.
+
+One walk (``_degrees``) turns records into degrees in the order of the JSON
+entries.  Every layer on the diagonal t = c - d = s + 4m spans the same c,
+[max(-C, t - D), min(C, t + D)], so zipping the counts of a diagonal's
+layers gives each degree's, and a memo maps the layers' filtrations and a
+degree's counts to its text once.  Both writers work from that walk, and so
+does the library's dict of entries; no per-degree dict is built to write a
+chart.
 
 Before either strategy runs its work is counted in arithmetic, walking no
 layer: slots visited, plus for ``page_by_page`` the 64-bit words of its
@@ -77,8 +86,11 @@ module; its names still resolve here, and the first such lookup loads it.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 
 from . import _poly
 
@@ -202,14 +214,30 @@ class Window:
         return abs(c) <= self.c and abs(d) <= self.d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EinftyChart:
+    """An E_infty chart on a window.  ``records`` is its strategy's readout,
+    which both writers read (see the module docstring).  ``entries``,
+    (c, d) -> tuple of (filtration, group, multiplicity), is built from the
+    records on first use, or given outright for a hand-made chart, which
+    then has no records to write."""
+
     ring: str
     window: Window
     bound: int
     collapse_page: int
     pages_fired: tuple[int, ...]
-    entries: dict  # (c, d) -> tuple of (filtration, group, multiplicity)
+    records: list = field(repr=False)
+
+    def __init__(self, ring, window, bound, collapse_page, pages_fired, entries=None, records=()):
+        self.__dict__.update(ring=ring, window=window, bound=bound, collapse_page=collapse_page,
+                             pages_fired=pages_fired, records=records)
+        if entries is not None:
+            self.__dict__["entries"] = entries
+
+    @cached_property
+    def entries(self) -> dict:
+        return _entries(self.records, self.window)
 
     def at(self, c: int, d: int) -> tuple:
         if not self.window.contains(c, d):
@@ -269,51 +297,106 @@ def _layers(cr: range, dr: range, sr: range):
             yield s, m, max(cr[0], dr[0] + s + 4 * m), min(cr[-1], dr[-1] + s + 4 * m)
 
 
-def _file(survivors: dict, s: int, m: int, c_lo: int, counts) -> None:
-    """Record a layer's survivors from the (full, half) counts of its slots
-    c = c_lo, c_lo + 1, ...; index-two sublattices (half) occur at s = 0 only."""
-    group = GROUP_Z2 if s else GROUP_Z
-    for c, (full, half) in enumerate(counts, c_lo):
-        if full or half:
-            found = survivors.setdefault((c, c - s - 4 * m), [])
-            if full:
-                found.append((s, group, full))
-            if half:
-                found.append((0, GROUP_Z_DIV2, half))
+def _diagonals(records, f: int):
+    """(signature, c_lo, t, counts of each slot) for each diagonal t of a
+    readout: the signature is its layers' filtrations, and a slot's counts
+    are each layer's full count, and at s = 0 then its index-two count.
+    Below f = 4 no two layers share a diagonal, so none is grouped."""
+    if f < 4:
+        for s, m, c_lo, fulls, halves in records:
+            yield (s,), c_lo, s + 4 * m, zip(fulls) if halves is None else zip(fulls, halves)
+        return
+    by_t = {}
+    for s, m, c_lo, fulls, halves in records:
+        if (found := by_t.get(t := s + 4 * m)) is None:
+            by_t[t] = [s], c_lo, [fulls] if halves is None else [fulls, halves]
+        else:
+            found[0].append(s)
+            found[2].append(fulls)
+    for t, (sig, c_lo, cols) in by_t.items():
+        yield tuple(sig), c_lo, t, zip(*cols)
 
 
-def _closed_form(spec: RingSpec, window: Window, bound: int) -> dict:
-    """Survivors from the predicate in valuation form: a slot of weight w at
-    filtration s holds the weight-w monomials with b(s) <= l < e, and at s = 0
-    (b = -1) the rest as index-two sublattices.  Its counts are tabled over
-    the box's weights up front, once per (e, b) kind: the monomials of
-    valuation >= max(b, 0) less those of valuation >= e, and at s = 0 those of
-    valuation >= e, all rows of ``_free_counts``.  At each s only the m of the
-    kinds whose table is not zero are visited: 2^e (2k + 1) for e < h, and
-    the multiples of 2^h for e = h + 1."""
+def _degrees(records, window: Window, text) -> list:
+    """The window's degrees in the order of the JSON entries, c then d
+    ascending: (c, d) is at (c + C)(2D + 1) + d + D, and holds
+    (c, d, text(classes)) if the degree holds a class, else None.  A
+    degree's classes come sorted, s ascending and Z before Z_div2.  A memo
+    per signature (``_diagonals``) maps a degree's counts to its text once."""
+    rows = 2 * window.d + 1
+    memos, grid = {}, [None] * ((2 * window.c + 1) * rows)
+    for sig, c_lo, t, slots in _diagonals(records, window.f):
+        if (found := memos.get(sig)) is None:
+            labels = [(s, GROUP_Z2) for s in sig] if sig[0] else [
+                (0, GROUP_Z), (0, GROUP_Z_DIV2), *((s, GROUP_Z2) for s in sig[1:])]
+            found = memos[sig] = labels, {(0,) * len(labels): ""}  # empty: no cell
+        labels, memo = found
+        i = (c_lo + window.c) * rows + c_lo - t + window.d
+        for c, counts in enumerate(slots, c_lo):
+            if (cell := memo.get(counts)) is None:
+                cell = memo[counts] = text(tuple(
+                    (s, g, n) for (s, g), n in zip(labels, counts) if n))
+            if cell:
+                grid[i] = c, c - t, cell
+            i += rows + 1
+    return grid
+
+
+def _entries(records, window: Window) -> dict:
+    """The library's chart, (c, d) -> classes, from a readout."""
+    return {(c, d): classes for c, d, classes in filter(None, _degrees(records, window, tuple))}
+
+
+def _held(records) -> list:
+    """The records that hold a class, sorted by (s, m): what the two
+    strategies must agree on."""
+    return sorted(r for r in records if any(r[3]) or r[4] is not None and any(r[4]))
+
+
+def _kinds(spec: RingSpec, bound: int, w_lo: int, w_hi: int, b_top: int) -> list:
+    """By b + 1, for b = -1, ..., b_top, the (first m, step, fulls, halves)
+    of each (e, b) kind that holds a class at some weight w_lo..w_hi.  The
+    tables are tuples, which the garbage collector stops tracking."""
     h = spec.effective_height
-    cr, dr, sr = _window_box(window)
-    w_lo, w_hi = (cr[0] + dr[0]) // 2, (cr[-1] + dr[-1] + sr[-1]) // 2
     free = _free_counts(spec, bound, w_lo, w_hi)
-    kinds = []  # by b + 1: (first m, step, table) of each kind that holds a class
-    for b in range(-1, min(h, (sr[-1] + 1).bit_length() - 2) + 1):
+    kinds = []
+    for b in range(-1, b_top + 1):
         lo, live = max(b, 0), []
         for e in (*range(h), h + 1):
-            full = [x - y for x, y in zip(free[lo], free[max(e, lo)])]
-            half = free[e if b < 0 else h + 1]
-            if any(full) or any(half):
+            full = tuple([x - y for x, y in zip(free[lo], free[max(e, lo)])])
+            half = tuple(free[e]) if b < 0 else None
+            if any(full) or half is not None and any(half):
                 first, step = (2**e, 2 ** (e + 1)) if e < h else (0, 2**h)
-                live.append((first, step, list(zip(full, half))))
+                live.append((first, step, full, half))
         kinds.append(live)
-    survivors = {}
-    for s in sr:  # s ascending, so each degree's classes come out sorted
-        ms = _m_range(cr, dr, s)
-        for first, step, table in kinds[min(h, (s + 1).bit_length() - 2) + 1]:
+    return kinds
+
+
+def _closed_form(spec: RingSpec, window: Window, bound: int) -> list:
+    """Records from the predicate in valuation form: a slot of weight w at
+    filtration s holds the weight-w monomials with b(s) <= l < e, and at
+    s = 0 (b = -1) the rest as index-two sublattices.  Its counts are tabled
+    over the box's weights up front, once per (e, b) kind (``_kinds``): the
+    monomials of valuation >= max(b, 0) less those of valuation >= e, and at
+    s = 0 those of valuation >= e, all rows of ``_free_counts``.  At each s
+    only the m of the kinds whose table is not zero are visited: 2^e (2k + 1)
+    for e < h, and the multiples of 2^h for e = h + 1; a layer's record
+    holds slices of its kind's tables."""
+    h = spec.effective_height
+    cr, dr, sr = _window_box(window)
+    w_lo = (cr[0] + dr[0]) // 2
+    kinds = _kinds(spec, bound, w_lo, (cr[-1] + dr[-1] + sr[-1]) // 2,
+                   min(h, (sr[-1] + 1).bit_length() - 2))
+    records, c_min, c_max = [], cr[0], cr[-1]
+    for s in sr:
+        ms, d_min, d_max = _m_range(cr, dr, s), dr[0] + s, dr[-1] + s
+        for first, step, full, half in kinds[min(h, (s + 1).bit_length() - 2) + 1]:
             for m in range(ms.start + (first - ms.start) % step, ms.stop, step):
-                c_lo, c_hi = max(cr[0], dr[0] + s + 4 * m), min(cr[-1], dr[-1] + s + 4 * m)
+                c_lo, c_hi = max(c_min, d_min + 4 * m), min(c_max, d_max + 4 * m)
                 i = c_lo - 2 * m - w_lo
-                _file(survivors, s, m, c_lo, table[i:i + c_hi - c_lo + 1])
-    return {k: tuple(v) for k, v in survivors.items()}
+                j = i + c_hi - c_lo + 1
+                records.append((s, m, c_lo, full[i:j], None if half is None else half[i:j]))
+    return records
 
 
 def _layout(spec: RingSpec, window: Window, bound: int):
@@ -437,12 +520,13 @@ def _materialize(spec: RingSpec, window: Window, bound: int):
     return rows, layout, [bits & mask for bits in prefix]
 
 
-def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[dict, tuple[int, ...]]:
-    """Fire each page on ``_materialize``'s rows.  Page e's sources are the
-    layers m = 2^e mod 2^(e+1) of each row; a source's ``hit``, its live bits
-    whose target (bit + place, in the layer a^r u^(-2^e) away) is live, leaves
-    both layers; at s = 0 it is kept in ``half``.  A target layer outside the
-    region holds nothing."""
+def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[list, tuple[int, ...]]:
+    """Fire each page on ``_materialize``'s rows, then read the window's
+    layers out as records.  Page e's sources are the layers
+    m = 2^e mod 2^(e+1) of each row; a source's ``hit``, its live bits whose
+    target (bit + place, in the layer a^r u^(-2^e) away) is live, leaves
+    both layers; at s = 0 it is kept in ``half``.  A target layer outside
+    the region holds nothing."""
     h = spec.effective_height
     rows, (box, digits, _, _), capped = _materialize(spec, window, bound)
     m_lo = [_m_range(box[0], box[1], s).start for s in box[2]]
@@ -470,7 +554,7 @@ def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[dict, tup
         if page_fired:
             fired.append(r)
 
-    survivors: dict = {}
+    records = []
     caps = [b - a for a, b in zip(capped, capped[1:])]  # each weight's capped bits
     w_lo = (box[0][0] + box[1][0]) // 2
     cr, dr, sr = _window_box(window)
@@ -484,10 +568,10 @@ def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[dict, tup
             lo, hi = c_lo - 2 * m - w_lo, min(cr[-1], dr[-1] + s + 4 * m) - 2 * m - w_lo + 1
             if not (layer | lattice) & (capped[hi] - capped[lo]):
                 continue  # no class of this layer is within the cap
-            _file(survivors, s, m, c_lo, [
-                ((layer & cap).bit_count(), (lattice & cap).bit_count()) for cap in caps[lo:hi]
-            ])
-    return {k: tuple(v) for k, v in survivors.items()}, tuple(fired)
+            fulls = tuple([(layer & cap).bit_count() for cap in caps[lo:hi]])
+            halves = tuple([(lattice & cap).bit_count() for cap in caps[lo:hi]]) if s == 0 else None
+            records.append((s, m, c_lo, fulls, halves))
+    return records, tuple(fired)
 
 
 STRATEGY_CLOSED = "closed_form"
@@ -604,14 +688,16 @@ def compute_einfty(
         )
     collapse = 2 ** (spec.effective_height + 1)
     if strategy == STRATEGY_CLOSED:
-        return EinftyChart(spec.name, window, bound, collapse, (), _closed_form(spec, window, bound))
+        return EinftyChart(spec.name, window, bound, collapse, (),
+                           records=_closed_form(spec, window, bound))
     pages, fired = _page_by_page(spec, window, bound)
     if strategy == STRATEGY_BOTH:
         closed = _closed_form(spec, window, bound)
-        if closed != pages:
-            diff = sorted(k for k in set(closed) | set(pages) if closed.get(k) != pages.get(k))
+        if _held(closed) != _held(pages):
+            a, b = _entries(closed, window), _entries(pages, window)
+            diff = sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
             raise ArithmeticError(f"strategy disagreement at degrees {diff[:5]}")
-    return EinftyChart(spec.name, window, bound, collapse, fired, pages)
+    return EinftyChart(spec.name, window, bound, collapse, fired, records=pages)
 
 
 _PRESETS = {spec.name: spec for spec in (
@@ -691,16 +777,17 @@ _GROUPS = (GROUP_Z, GROUP_Z_DIV2, GROUP_Z2)  # the columns of an ascii cell
 _GROUP_JSON = {g: json.dumps(g) for g in _GROUPS}
 
 
+def _json_classes(classes: tuple) -> str:
+    return ", ".join(f"[{s}, {_GROUP_JSON[g]}, {n}]" for s, g, n in classes)
+
+
 def render_json(chart: EinftyChart, version: int) -> str:
     """``json.dumps({**chart_to_dict(chart), "version": version},
-    sort_keys=True)`` and a newline, written straight from the chart; each
-    distinct classes tuple is formatted once."""
-    entries, memo, parts = chart.entries, {}, []
-    for c, d in sorted(entries):
-        classes = entries[c, d]
-        if (text := memo.get(classes)) is None:
-            text = memo[classes] = ", ".join(f"[{s}, {_GROUP_JSON[g]}, {n}]" for s, g, n in classes)
-        parts.append(f'{{"c": {c}, "classes": [{text}], "d": {d}}}')
+    sort_keys=True)`` and a newline, written straight from the chart's
+    records by ``_degrees``, which formats each distinct list of classes
+    once."""
+    parts = [f'{{"c": {c}, "classes": [{text}], "d": {d}}}'
+             for c, d, text in filter(None, _degrees(chart.records, chart.window, _json_classes))]
     w = chart.window
     return (f'{{"bound": {chart.bound}, "collapse_page": {chart.collapse_page}, '
             f'"entries": [{", ".join(parts)}], "ring": {json.dumps(chart.ring)}, '
@@ -709,25 +796,28 @@ def render_json(chart: EinftyChart, version: int) -> str:
 
 def render_ascii(chart: EinftyChart) -> str:
     """Rows are d descending, columns c ascending; cells count classes as
-    lattice/index-two/F2 triples.  Each distinct classes tuple is formatted
-    once; columns are 9 wide, or one more than the longest cell, so cells
-    never touch.  Only the rows that hold a class are filled cell by cell."""
-    w, memo, rows = chart.window, {}, {}
-    for classes in chart.entries.values():
-        if classes and classes not in memo:
-            memo[classes] = "/".join(
-                str(sum(n for _, g, n in classes if g == group)) for group in _GROUPS)
-    width = max([9] + [len(text) + 1 for text in memo.values()])
+    lattice/index-two/F2 triples, written from the chart's records by
+    ``_degrees``, which formats each distinct list of classes once.  Columns
+    are 9 wide, or one more than the longest cell, so cells never touch.
+    Only the rows that hold a class are filled cell by cell."""
+    w, texts = chart.window, set()
+
+    def triple(classes):
+        text = "/".join(str(sum(n for _, g, n in classes if g == group)) for group in _GROUPS)
+        texts.add(text)
+        return text
+
+    grid, rows = _degrees(chart.records, w, triple), 2 * w.d + 1
+    width = max([9] + [len(text) + 1 for text in texts])
     empty = ".".center(width)
-    cells = {classes: text.center(width) for classes, text in memo.items()}
-    for (c, d), classes in chart.entries.items():
-        if classes:
-            if (row := rows.get(d)) is None:
-                row = rows[d] = [empty] * (2 * w.c + 1)
-            row[c + w.c] = cells[classes]
+    cells = {text: text.center(width) for text in texts}
     blank = empty * (2 * w.c + 1)
-    lines = [f"{d:>4} |" + ("".join(rows.pop(d)) if d in rows else blank)
-             for d in range(w.d, -w.d - 1, -1)]
-    lines.append("     +" + "-" * len(blank))
-    lines.append("      " + "".join(str(c).center(width) for c in range(-w.c, w.c + 1)))
-    return "\n".join(lines) + "\n"
+    out, occupied = io.StringIO(), {d for _, d, _ in filter(None, grid)}
+    for d in range(w.d, -w.d - 1, -1):
+        line = "".join([cells[x[2]] if x else empty for x in grid[d + w.d::rows]]
+                       ) if d in occupied else blank
+        out.write(f"{d:>4} |{line}\n")
+    out.write(f"     +{'-' * len(blank)}\n      ")
+    out.writelines(map(str.center, map(str, range(-w.c, w.c + 1)), repeat(width)))
+    out.write("\n")
+    return out.getvalue()

@@ -396,6 +396,13 @@ EXTREME_ARGV = {
     "hfpss-reference-flat-c-over": (
         ["hfpss", "--ring", CUSTOM_RING, "--window", "399000", "0", "0", "--strategy", "reference"], 1,
     ),
+    # the largest accepted c = d windows, whose time goes to reading out and
+    # writing some 10 MB
+    "hfpss-c-equals-d-reference": (
+        ["hfpss", "--ring", "height1-laurent", "--window", "483", "483", "0", "--strategy", "reference"],
+        0,
+    ),
+    "hfpss-c-equals-d-both": (["hfpss", "--ring", "height1-laurent", "--window", "434", "434", "0"], 0),
     "split-huge-prime": (["equivariant", "--group", "5", "--prime", "1000000000000000003"], 1),
     # one sum per residue: the largest modulus, and the next one
     "split-mod-at-the-bound": (["split", "--n", "5", "--prime", "2", "--mod", "1000000"], 0),
