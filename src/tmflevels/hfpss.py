@@ -38,7 +38,8 @@ from the next by dividing by 1 - t^|v_l| (``_free_counts``), and tables
 differences of rows up front, once per (e, b) kind.  ``page_by_page`` holds
 its padded region as one row of bitsets per filtration s, indexed by
 m - m_lo(s), a bit per class indexed by a dense exponent code; each layer is
-a difference of per-weight prefix sums.  It lists no monomial either: one
+a difference of per-weight prefix sums, a row of them taken from four
+slices of the sums.  It lists no monomial either: one
 series in t and x = 2^place gives each weight's codes of the v exponents,
 and one more counts the monomials in the other generators within the cap (no
 differential changes their exponents); they take their ranks in one run per
@@ -52,21 +53,25 @@ decided from its own data, as one record (s, m, c_lo, fulls, halves) per
 layer, s ascending: the full and index-two counts of its slots c = c_lo,
 c_lo + 1, ..., with halves None above s = 0.  ``closed_form`` visits, at
 each s, only the m of the kinds whose table is not zero at some weight:
-2^e (2k + 1) for e < h, and the multiples of 2^h for e = h + 1, and gives
-slices of the kind's tables.  So it touches no layer above a vanishing
-line, nor one of a dead kind.  ``page_by_page`` skips the layers that are
+2^e (2k + 1) for e < h, and the multiples of 2^h for e = h + 1, whose
+weights meet the kind's span of nonzero weights, and gives slices of the
+kind's tables.  So it touches no layer above a vanishing line, nor one of
+a dead kind, nor one whose weights all lie outside that span.
+``page_by_page`` skips the layers that are
 empty after firing, then those whose live bits (and at s = 0 its index-two
 lattice) miss the capped bits of the layer's weights, one difference of a
 prefix sum; it counts the rest against each weight's capped bits, taken
 once per request.  A skipped layer has no nonzero count, so the chart
 cannot change.  ``both`` compares the records that hold a class.
 
-One walk (``_degrees``) turns records into degrees in the order of the JSON
-entries.  Every layer on the diagonal t = c - d = s + 4m spans the same c,
-[max(-C, t - D), min(C, t + D)], so zipping the counts of a diagonal's
-layers gives each degree's, and a memo maps the layers' filtrations and a
-degree's counts to its text once.  Both writers work from that walk, and so
-does the library's dict of entries; no per-degree dict is built to write a
+One walk (``_degrees``) turns records into a grid of the degrees' texts in
+the order of the JSON entries.  Every layer on the diagonal t = c - d =
+s + 4m spans the same c, [max(-C, t - D), min(C, t + D)], so zipping the
+counts of a diagonal's layers gives each degree's, a memo maps the layers'
+filtrations and a degree's counts to its text once, and the diagonal's
+texts go into the grid as one strided slice.  Both writers work from that
+grid, and so does the library's dict of entries, each reading a degree's
+(c, d) from its place; no per-degree dict or tuple is built to write a
 chart.
 
 Before either strategy runs its work is counted in arithmetic, walking no
@@ -90,7 +95,8 @@ import io
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, count, cycle, repeat
+from operator import concat, floordiv, mod, sub
 
 from . import _poly
 
@@ -220,7 +226,7 @@ class EinftyChart:
     which both writers read (see the module docstring).  ``entries``,
     (c, d) -> tuple of (filtration, group, multiplicity), is built from the
     records on first use, or given outright for a hand-made chart, which
-    then has no records to write."""
+    then has no records, and the writers write its entries."""
 
     ring: str
     window: Window
@@ -298,13 +304,15 @@ def _layers(cr: range, dr: range, sr: range):
 
 
 def _diagonals(records, f: int):
-    """(signature, c_lo, t, counts of each slot) for each diagonal t of a
-    readout: the signature is its layers' filtrations, and a slot's counts
-    are each layer's full count, and at s = 0 then its index-two count.
-    Below f = 4 no two layers share a diagonal, so none is grouped."""
+    """(signature, c_lo, t, n, counts of each slot) for each diagonal t of a
+    readout, n slots long: the signature is its layers' filtrations, and a
+    slot's counts are each layer's full count, and at s = 0 then its
+    index-two count.  Below f = 4 no two layers share a diagonal, so none is
+    grouped."""
     if f < 4:
         for s, m, c_lo, fulls, halves in records:
-            yield (s,), c_lo, s + 4 * m, zip(fulls) if halves is None else zip(fulls, halves)
+            yield ((s,), c_lo, s + 4 * m, len(fulls),
+                   zip(fulls) if halves is None else zip(fulls, halves))
         return
     by_t = {}
     for s, m, c_lo, fulls, halves in records:
@@ -314,37 +322,73 @@ def _diagonals(records, f: int):
             found[0].append(s)
             found[2].append(fulls)
     for t, (sig, c_lo, cols) in by_t.items():
-        yield tuple(sig), c_lo, t, zip(*cols)
+        yield tuple(sig), c_lo, t, len(cols[0]), zip(*cols)
+
+
+class _Cells(dict):
+    """A signature's memo: a slot's counts -> ``text`` of its classes, made
+    on first use; a slot of zeros has None, no cell."""
+
+    __slots__ = ("labels", "text")
+
+    def __init__(self, sig: tuple, text):
+        self.labels = [(s, GROUP_Z2) for s in sig] if sig[0] else [
+            (0, GROUP_Z), (0, GROUP_Z_DIV2), *((s, GROUP_Z2) for s in sig[1:])]
+        self.text = text
+        self[(0,) * len(self.labels)] = None
+
+    def __missing__(self, counts: tuple):
+        cell = self[counts] = self.text(tuple([
+            (s, g, n) for (s, g), n in zip(self.labels, counts) if n]))
+        return cell
 
 
 def _degrees(records, window: Window, text) -> list:
     """The window's degrees in the order of the JSON entries, c then d
-    ascending: (c, d) is at (c + C)(2D + 1) + d + D, and holds
-    (c, d, text(classes)) if the degree holds a class, else None.  A
-    degree's classes come sorted, s ascending and Z before Z_div2.  A memo
-    per signature (``_diagonals``) maps a degree's counts to its text once."""
-    rows = 2 * window.d + 1
-    memos, grid = {}, [None] * ((2 * window.c + 1) * rows)
-    for sig, c_lo, t, slots in _diagonals(records, window.f):
-        if (found := memos.get(sig)) is None:
-            labels = [(s, GROUP_Z2) for s in sig] if sig[0] else [
-                (0, GROUP_Z), (0, GROUP_Z_DIV2), *((s, GROUP_Z2) for s in sig[1:])]
-            found = memos[sig] = labels, {(0,) * len(labels): ""}  # empty: no cell
-        labels, memo = found
+    ascending: (c, d) is at (c + C)(2D + 1) + d + D, and holds the text of
+    its classes (``text``), or None if it holds none.  A degree's
+    classes come sorted, s ascending and Z before Z_div2.  Each diagonal's
+    slots go through its signature's memo (``_Cells``), and into the grid as
+    one slice of step 2D + 2, a slot's step in c and d."""
+    rows, memos = 2 * window.d + 1, {}
+    grid = [None] * ((2 * window.c + 1) * rows)
+    for sig, c_lo, t, n, slots in _diagonals(records, window.f):
+        if (memo := memos.get(sig)) is None:
+            memo = memos[sig] = _Cells(sig, text)
         i = (c_lo + window.c) * rows + c_lo - t + window.d
-        for c, counts in enumerate(slots, c_lo):
-            if (cell := memo.get(counts)) is None:
-                cell = memo[counts] = text(tuple(
-                    (s, g, n) for (s, g), n in zip(labels, counts) if n))
-            if cell:
-                grid[i] = c, c - t, cell
-            i += rows + 1
+        if n == 1:  # as in a flat window: a slice would cost more than it saves
+            grid[i] = memo[next(slots)]
+        else:
+            grid[i:i + n * (rows + 1):rows + 1] = map(memo.__getitem__, slots)
     return grid
+
+
+def _chart_grid(chart: EinftyChart, text) -> list:
+    """``_degrees`` of the chart's records, or, for a chart without records,
+    such as a hand-made one, the same grid filled from its entries."""
+    w = chart.window
+    if chart.records:
+        return _degrees(chart.records, w, text)
+    rows = 2 * w.d + 1
+    grid = [None] * ((2 * w.c + 1) * rows)
+    for (c, d), classes in chart.entries.items():
+        if not w.contains(c, d):
+            raise ValueError(f"degree ({c},{d}) outside the computed window")
+        grid[(c + w.c) * rows + d + w.d] = text(tuple(classes)) if classes else None
+    return grid
+
+
+def _held_cells(grid: list):
+    """(position, text) of each degree of a ``_degrees`` grid that holds a
+    class."""
+    return zip(compress(range(len(grid)), grid), filter(None, grid))
 
 
 def _entries(records, window: Window) -> dict:
     """The library's chart, (c, d) -> classes, from a readout."""
-    return {(c, d): classes for c, d, classes in filter(None, _degrees(records, window, tuple))}
+    rows = 2 * window.d + 1
+    return {(i // rows - window.c, i % rows - window.d): classes
+            for i, classes in _held_cells(_degrees(records, window, tuple))}
 
 
 def _held(records) -> list:
@@ -353,10 +397,20 @@ def _held(records) -> list:
     return sorted(r for r in records if any(r[3]) or r[4] is not None and any(r[4]))
 
 
+def _nonzero_span(tables) -> tuple[int, int]:
+    """The first and last index at which some of the tables, all of one
+    length n, is not zero, found without a Python step per entry; first > last
+    if every entry is zero."""
+    n = len(tables[0])
+    return (min(next(compress(count(), table), n) for table in tables),
+            n - 1 - min(next(compress(count(), reversed(table)), n) for table in tables))
+
+
 def _kinds(spec: RingSpec, bound: int, w_lo: int, w_hi: int, b_top: int) -> list:
-    """By b + 1, for b = -1, ..., b_top, the (first m, step, fulls, halves)
-    of each (e, b) kind that holds a class at some weight w_lo..w_hi.  The
-    tables are tuples, which the garbage collector stops tracking."""
+    """By b + 1, for b = -1, ..., b_top, the (first m, step, a, b, fulls,
+    halves) of each (e, b) kind that holds a class at some weight w_lo..w_hi,
+    the first at weight a and the last at weight b.  The tables are tuples,
+    which the garbage collector stops tracking."""
     h = spec.effective_height
     free = _free_counts(spec, bound, w_lo, w_hi)
     kinds = []
@@ -365,9 +419,10 @@ def _kinds(spec: RingSpec, bound: int, w_lo: int, w_hi: int, b_top: int) -> list
         for e in (*range(h), h + 1):
             full = tuple([x - y for x, y in zip(free[lo], free[max(e, lo)])])
             half = tuple(free[e]) if b < 0 else None
-            if any(full) or half is not None and any(half):
+            first_w, last_w = _nonzero_span((full,) if half is None else (full, half))
+            if first_w <= last_w:
                 first, step = (2**e, 2 ** (e + 1)) if e < h else (0, 2**h)
-                live.append((first, step, full, half))
+                live.append((first, step, w_lo + first_w, w_lo + last_w, full, half))
         kinds.append(live)
     return kinds
 
@@ -380,8 +435,9 @@ def _closed_form(spec: RingSpec, window: Window, bound: int) -> list:
     monomials of valuation >= max(b, 0) less those of valuation >= e, and at
     s = 0 those of valuation >= e, all rows of ``_free_counts``.  At each s
     only the m of the kinds whose table is not zero are visited: 2^e (2k + 1)
-    for e < h, and the multiples of 2^h for e = h + 1; a layer's record
-    holds slices of its kind's tables."""
+    for e < h, and the multiples of 2^h for e = h + 1, and of those only the
+    m whose weights meet the weights a..b where the kind's table is not zero;
+    a layer's record holds slices of its kind's tables."""
     h = spec.effective_height
     cr, dr, sr = _window_box(window)
     w_lo = (cr[0] + dr[0]) // 2
@@ -390,8 +446,12 @@ def _closed_form(spec: RingSpec, window: Window, bound: int) -> list:
     records, c_min, c_max = [], cr[0], cr[-1]
     for s in sr:
         ms, d_min, d_max = _m_range(cr, dr, s), dr[0] + s, dr[-1] + s
-        for first, step, full, half in kinds[min(h, (s + 1).bit_length() - 2) + 1]:
-            for m in range(ms.start + (first - ms.start) % step, ms.stop, step):
+        for first, step, a, b, full, half in kinds[min(h, (s + 1).bit_length() - 2) + 1]:
+            # layer m has the weights max(c_min - 2m, d_min + 2m) up to
+            # min(c_max - 2m, d_max + 2m): they meet a..b on one run of m
+            m_lo = max(ms.start, (c_min - b + 1) // 2, (a - d_max + 1) // 2)
+            m_hi = min(ms.stop, (b - d_min) // 2 + 1, (c_max - a) // 2 + 1)
+            for m in range(m_lo + (first - m_lo) % step, m_hi, step):
                 c_lo, c_hi = max(c_min, d_min + 4 * m), min(c_max, d_max + 4 * m)
                 i = c_lo - 2 * m - w_lo
                 j = i + c_hi - c_lo + 1
@@ -493,8 +553,9 @@ def _materialize(spec: RingSpec, window: Window, bound: int):
     from the region's lowest.  Weight w's bits are the sum over x of the v
     codes of weight w - x times the ranks of run x, and the capped ones lie
     under one mask: every rank, and an invertible v within the cap.  A layer
-    is a difference of two prefix sums of all bits, and so is the capped mask
-    of any run of weights: codes of different weights are disjoint."""
+    is a difference of two prefix sums of all bits, taken a row at a time
+    from slices of the prefix sums (``_rows``), and so is the capped mask of
+    any run of weights: codes of different weights are disjoint."""
     layout = _layout(spec, window, bound)
     (cr, dr, sr, _), _, rank_place, (codes, _) = layout
     runs, n_ranks = _ranks(layout)
@@ -511,13 +572,30 @@ def _materialize(spec: RingSpec, window: Window, bound: int):
             if code := table.get(w - x):
                 bits += code * run << at
         prefix.append(prefix[-1] + bits)
-    # layer (s, m) has the weights max(c_lo - 2m, d_lo + s + 2m) up to
-    # min(c_hi - 2m, d_hi + s + 2m), here less w_lo
+    return _rows(prefix, cr, dr, sr), layout, [bits & mask for bits in prefix]
+
+
+def _rows(prefix: list, cr: range, dr: range, sr: range) -> list:
+    """A box's layers, in one row per filtration s indexed by m - m_lo(s),
+    from ``prefix``, a prefix sum over the weights from the box's lowest, w_lo.
+    Layer (s, m) is prefix[hi] - prefix[lo], hi = min(c_hi - 2m, d_hi + s + 2m)
+    and lo = max(c_lo - 2m, d_lo + s + 2m), less w_lo (c_hi, d_hi one past
+    the box).  As m rises, hi climbs by 2 until its terms cross at p, then
+    falls by 2, and lo falls until q, then climbs: each run is one slice of
+    prefix, read backwards where it falls, so no index is taken per layer."""
+    w_lo = (cr[0] + dr[0]) // 2
     c_lo, c_hi, d_lo, d_hi = cr[0] - w_lo, cr[-1] - w_lo + 1, dr[0] - w_lo, dr[-1] - w_lo + 1
-    rows = [[prefix[min(c_hi - 2 * m, d_hi + s + 2 * m)]
-             - prefix[max(c_lo - 2 * m, d_lo + s + 2 * m)] for m in _m_range(cr, dr, s)]
-            for s in sr]
-    return rows, layout, [bits & mask for bits in prefix]
+    rows = []
+    for s in sr:
+        m0, m1 = (ms := _m_range(cr, dr, s)).start, ms.stop
+        p = min(max((c_hi - d_hi - s) // 4 + 1, m0), m1)
+        q = min(max((c_lo - d_lo - s) // 4 + 1, m0), m1)
+        top = (prefix[d_hi + s + 2 * m0:d_hi + s + 2 * p:2]
+               + prefix[c_hi - 2 * m1 + 2:c_hi - 2 * p + 2:2][::-1])
+        low = (prefix[c_lo - 2 * q + 2:c_lo - 2 * m0 + 2:2][::-1]
+               + prefix[d_lo + s + 2 * q:d_lo + s + 2 * m1:2])
+        rows.append(list(map(sub, top, low)))
+    return rows
 
 
 def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[list, tuple[int, ...]]:
@@ -622,9 +700,10 @@ def _residues(rng: range, q: int) -> int:
 
 
 def _slot_count(cr: range, dr: range, sr: range) -> int:
-    """Slots of a box, c = d + s mod 4, counted by residues."""
-    return sum(_residues(cr, q + t) * _residues(dr, q) * _residues(sr, t)
-               for q in range(4) for t in range(4))
+    """Slots of a box, c = d + s mod 4, counted by residues, each range's
+    taken once."""
+    c, d, s = ([_residues(rng, q) for q in range(4)] for rng in (cr, dr, sr))
+    return sum(c[(q + t) % 4] * d[q] * s[t] for q in range(4) for t in range(4))
 
 
 def _layer_count(cr: range, dr: range, sr: range) -> int:
@@ -778,17 +857,29 @@ _GROUP_JSON = {g: json.dumps(g) for g in _GROUPS}
 
 
 def _json_classes(classes: tuple) -> str:
-    return ", ".join(f"[{s}, {_GROUP_JSON[g]}, {n}]" for s, g, n in classes)
+    return ", ".join([f"[{s}, {_GROUP_JSON[g]}, {n}]" for s, g, n in classes])
 
 
 def render_json(chart: EinftyChart, version: int) -> str:
     """``json.dumps({**chart_to_dict(chart), "version": version},
-    sort_keys=True)`` and a newline, written straight from the chart's
-    records by ``_degrees``, which formats each distinct list of classes
-    once."""
-    parts = [f'{{"c": {c}, "classes": [{text}], "d": {d}}}'
-             for c, d, text in filter(None, _degrees(chart.records, chart.window, _json_classes))]
-    w = chart.window
+    sort_keys=True)`` and a newline, written straight from the chart's grid
+    (``_chart_grid``), which formats each distinct list of classes once.
+    An entry is the head of its column c, its text and the tail of its row
+    d, found from its place.  Heads and tails are formatted once per column
+    and row when the grid holds more classes' texts than that; in a flat
+    window, which holds fewer, each entry is formatted whole instead."""
+    w, rows = chart.window, 2 * chart.window.d + 1
+    grid = _chart_grid(chart, _json_classes)
+    if len(grid) - grid.count(None) > 2 * w.c + 1 + rows:
+        heads = [f'{{"c": {c}, "classes": [' for c in range(-w.c, w.c + 1)]
+        tails = [f'], "d": {d}}}' for d in range(-w.d, w.d + 1)]
+        cols = map(floordiv, compress(range(len(grid)), grid), repeat(rows))
+        parts = map(concat, map(concat, map(heads.__getitem__, cols), filter(None, grid)),
+                    compress(cycle(tails), grid))
+    else:
+        parts = [f'{{"c": {i // rows - w.c}, "classes": [{text}], "d": {i % rows - w.d}}}'
+                 for i, text in _held_cells(grid)]
+        del grid  # not held through the join
     return (f'{{"bound": {chart.bound}, "collapse_page": {chart.collapse_page}, '
             f'"entries": [{", ".join(parts)}], "ring": {json.dumps(chart.ring)}, '
             f'"version": {version}, "window": [{w.c}, {w.d}, {w.f}]}}\n')
@@ -796,27 +887,30 @@ def render_json(chart: EinftyChart, version: int) -> str:
 
 def render_ascii(chart: EinftyChart) -> str:
     """Rows are d descending, columns c ascending; cells count classes as
-    lattice/index-two/F2 triples, written from the chart's records by
-    ``_degrees``, which formats each distinct list of classes once.  Columns
-    are 9 wide, or one more than the longest cell, so cells never touch.
-    Only the rows that hold a class are filled cell by cell."""
+    lattice/index-two/F2 triples, written from the chart's grid
+    (``_chart_grid``), which formats each distinct list of classes once.
+    Columns are 9 wide, or one more than the longest cell, so cells never
+    touch.  Row d is every (2D + 1)-th place of the grid from d + D; only
+    the rows that hold a class are filled cell by cell."""
     w, texts = chart.window, set()
 
     def triple(classes):
-        text = "/".join(str(sum(n for _, g, n in classes if g == group)) for group in _GROUPS)
-        texts.add(text)
+        counts = dict.fromkeys(_GROUPS, 0)
+        for _, g, n in classes:
+            counts[g] += n
+        texts.add(text := "/".join(map(str, counts.values())))
         return text
 
-    grid, rows = _degrees(chart.records, w, triple), 2 * w.d + 1
+    grid, rows = _chart_grid(chart, triple), 2 * w.d + 1
     width = max([9] + [len(text) + 1 for text in texts])
     empty = ".".center(width)
     cells = {text: text.center(width) for text in texts}
     blank = empty * (2 * w.c + 1)
-    out, occupied = io.StringIO(), {d for _, d, _ in filter(None, grid)}
-    for d in range(w.d, -w.d - 1, -1):
-        line = "".join([cells[x[2]] if x else empty for x in grid[d + w.d::rows]]
-                       ) if d in occupied else blank
-        out.write(f"{d:>4} |{line}\n")
+    out = io.StringIO()
+    occupied = set(map(mod, compress(range(len(grid)), grid), repeat(rows)))
+    for j in range(rows - 1, -1, -1):
+        line = "".join(map(cells.get, grid[j::rows], repeat(empty))) if j in occupied else blank
+        out.write(f"{j - w.d:>4} |{line}\n")
     out.write(f"     +{'-' * len(blank)}\n      ")
     out.writelines(map(str.center, map(str, range(-w.c, w.c + 1)), repeat(width)))
     out.write("\n")

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -424,17 +425,17 @@ def test_strongly_even():
     assert is_strongly_even(c2, (-4, 4))
 
 
+DOCTORED = (  # hand-made charts: entries given, no records
+    EinftyChart("doctored", Window(4, 4, 4), 8, 4, (),
+                {(0, 1): ((1, GROUP_Z2, 1),)}),  # a class at rho - 1
+    EinftyChart("doctored", Window(4, 4, 4), 8, 4, (),
+                {(1, 1): ((0, GROUP_Z_DIV2, 1),)}),  # index-two lattice at rho
+)
+
+
 def test_strongly_even_doctored_chart():
-    bad = EinftyChart(
-        "doctored", Window(4, 4, 4), 8, 4, (),
-        {(0, 1): ((1, GROUP_Z2, 1),)},  # a class at rho - 1
-    )
-    assert not is_strongly_even(bad, (1, 1))
-    bad2 = EinftyChart(
-        "doctored", Window(4, 4, 4), 8, 4, (),
-        {(1, 1): ((0, GROUP_Z_DIV2, 1),)},  # index-two lattice at rho
-    )
-    assert not is_strongly_even(bad2, (1, 1))
+    for bad in DOCTORED:
+        assert not is_strongly_even(bad, (1, 1))
 
 
 def test_strongly_even_window_error():
@@ -606,15 +607,16 @@ def test_readout_files_only_the_layers_that_hold_a_class():
 
 
 def test_fast_files_the_layers_of_the_live_kinds():
-    # the layers _closed_form files are those of the _layers walk whose kind
-    # (e, b) holds a monomial at some weight of the window: any at s = 0, one
-    # of v-valuation b(s) <= l < e above, found by weight_basis and divides
+    # the layers _closed_form files are those of the _layers walk whose
+    # weights meet the weights from the first to the last that hold a
+    # monomial of the layer's kind (e, b): any at s = 0, one of v-valuation
+    # b(s) <= l < e above, found by weight_basis and divides
     def valuation(spec, exps):
         h = spec.effective_height
         return next((l for l, v in enumerate(spec.v[:h]) if spec.divides(v, exps)), h)
 
     flat = (Window(12, 0, 0), Window(0, 12, 0), Window(0, 0, 12))
-    cases = [(spec, window) for spec in (H1, H2P, H2L, EMPTY_V, DEGENERATE)
+    cases = [(spec, window) for spec in (H1, H2P, H2L, EMPTY_V, DEGENERATE, CUSTOM)
              for window in (Window(3, 1, 7), Window(6, 5, 40), Window(0, 9, 40), *flat)]
     cases += [(spec, window) for spec in (TWELVE, INV_REST, OUTSIDE)
               for window in (Window(2, 1, 3), Window(4, 0, 0), Window(0, 4, 0), Window(1, 0, 12))]
@@ -622,20 +624,26 @@ def test_fast_files_the_layers_of_the_live_kinds():
     for spec, window in cases:
         h, bound = spec.effective_height, _auto_bound(spec, window)
         cr, dr, sr = box = _window_box(window)
-        found = {valuation(spec, exps)
-                 for w in range((cr[0] + dr[0]) // 2, (cr[-1] + dr[-1] + sr[-1]) // 2 + 1)
-                 for exps in weight_basis(spec, w, bound)}
+        weights = range((cr[0] + dr[0]) // 2, (cr[-1] + dr[-1] + sr[-1]) // 2 + 1)
+        found = {w: {valuation(spec, exps) for exps in weight_basis(spec, w, bound)}
+                 for w in weights}
 
-        def live(s, m):
+        def live(s, m, c_lo, c_hi):
             e = next((k for k in range(h) if m % 2 ** (k + 1)), h + 1)  # val2(m) < h, or h + 1
             b = min(h, (s + 1).bit_length() - 2)
-            return any(b <= l < e for l in found) if s else bool(found)
+            held = [w for w in weights if any(b <= l < e for l in found[w]) or not s and found[w]]
+            return bool(held) and c_lo - 2 * m <= held[-1] and held[0] <= c_hi - 2 * m
 
         filed = [(s, m) for s, m, *_ in _closed_form(spec, window, bound)]
-        expected = [(s, m) for s, m, _, _ in _layers(*box) if live(s, m)]
+        expected = [(s, m) for s, m, c_lo, c_hi in _layers(*box) if live(s, m, c_lo, c_hi)]
         assert sorted(filed) == expected, (spec.name, window)
     # height1-laurent's vanishing line is s = 2: fast visits no layer above it
     assert filed and max(s for s, _ in filed) == 2
+    # a polynomial ring has no monomial of negative weight: of a flat
+    # window's layers, fast files none that holds only zeros
+    window = Window(40, 0, 0)
+    records = _closed_form(CUSTOM, window, _auto_bound(CUSTOM, window))
+    assert records and all(any(fulls) or any(halves) for _, _, _, fulls, halves in records)
 
 
 def test_chart_classes_come_out_sorted():
@@ -1042,6 +1050,39 @@ WRITER_WINDOWS = [Window(*w) for w in (
     (5, 4, 30), (12, 12, 12), (9, 0, 17), (0, 9, 40))]
 
 
+def test_rows_are_the_per_layer_prefix_differences(monkeypatch):
+    # the oracle is the per-layer comprehension the slices replace: layer
+    # (s, m) is prefix[min(c_hi - 2m, d_hi + s + 2m)] less
+    # prefix[max(c_lo - 2m, d_lo + s + 2m)], every index within prefix (a
+    # negative one would wrap silently)
+    seen, rows_of = [], hfpss._rows
+
+    def spy(prefix, *box):
+        seen.append(prefix)
+        return rows_of(prefix, *box)
+
+    monkeypatch.setattr(hfpss, "_rows", spy)
+    windows = [*WRITER_WINDOWS, *itertools.starmap(Window, (
+        (30, 30, 0), (40, 0, 0), (0, 40, 0), (0, 0, 40)))]
+    for spec, _ in WRITER_RINGS:
+        for window in windows:
+            bound = _auto_bound(spec, window)
+            if _work(spec, window, bound, STRATEGY_PAGES) > MAX_WORK:
+                continue  # refused by the reference
+            seen.clear()
+            rows, layout, _ = _materialize(spec, window, bound)
+            (prefix,), (cr, dr, sr, _) = seen, layout[0]
+            w_lo = (cr[0] + dr[0]) // 2
+            c_lo, c_hi = cr[0] - w_lo, cr[-1] - w_lo + 1
+            d_lo, d_hi = dr[0] - w_lo, dr[-1] - w_lo + 1
+            pairs = [[(min(c_hi - 2 * m, d_hi + s + 2 * m), max(c_lo - 2 * m, d_lo + s + 2 * m))
+                      for m in _m_range(cr, dr, s)] for s in sr]
+            indices = [k for row in pairs for pair in row for k in pair]
+            assert all(0 <= k < len(prefix) for k in indices), (spec.name, window)
+            assert rows == [[prefix[i] - prefix[j] for i, j in row] for row in pairs], (
+                spec.name, window)
+
+
 def writer_charts():
     for spec, strategies in WRITER_RINGS:
         for window, strategy in itertools.product(WRITER_WINDOWS, strategies):
@@ -1050,8 +1091,24 @@ def writer_charts():
             yield compute_einfty(spec, window, strategy)
 
 
-def test_render_json_is_json_dumps_of_chart_to_dict():
+def test_degrees_place_each_slot_of_a_record():
+    # the plain loop: a record's slots are c = c_lo, c_lo + 1, ..., one per
+    # count, at d = c - s - 4m, each degree's classes s ascending and Z
+    # before Z_div2; chart_to_dict reads entries, built by the same walk as
+    # the writers, so only this catches a wrong stride
     for chart in writer_charts():
+        placed = {}
+        for s, m, c_lo, fulls, halves in chart.records:
+            for c, n, half in zip(itertools.count(c_lo), fulls, halves or repeat(0)):
+                classes = placed.setdefault((c, c - s - 4 * m), [])
+                classes += [(s, GROUP_Z2 if s else GROUP_Z, n)] if n else []
+                classes += [(0, GROUP_Z_DIV2, half)] if half else []
+        expected = {degree: tuple(classes) for degree, classes in placed.items() if classes}
+        assert _entries(chart.records, chart.window) == expected, (chart.ring, chart.window)
+
+
+def test_render_json_is_json_dumps_of_chart_to_dict():
+    for chart in (*writer_charts(), *DOCTORED):
         expected = json.dumps({**chart_to_dict(chart), "version": 1}, sort_keys=True) + "\n"
         assert render_json(chart, 1) == expected, (chart.ring, chart.window)
 
@@ -1059,7 +1116,7 @@ def test_render_json_is_json_dumps_of_chart_to_dict():
 def test_render_ascii_cells_sum_the_classes_by_group():
     """Each row is rebuilt cell by cell from ``chart.at``; every cell is
     centered in 9 columns, or in one more than the longest cell."""
-    for chart in writer_charts():
+    for chart in (*writer_charts(), *DOCTORED):
         w = chart.window
         lines = render_ascii(chart).split("\n")
         assert len(lines) == 2 * w.d + 4 and lines[-1] == ""
