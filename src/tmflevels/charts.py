@@ -9,7 +9,7 @@ JSON / ASCII / SVG emitters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cohomology import UNKNOWN, S1Table, rank_table
 
@@ -20,16 +20,14 @@ NEEDS_S1 = "needs_s1"
 MAX_STEMS = 10_000
 
 
-@dataclass(frozen=True)
-class ChartEntry:
+class ChartEntry(NamedTuple):
     stem: int
     filtration: int
     rank: int
     marker: str = EXACT
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(NamedTuple):
     n: int
     range: tuple[int, int]
     entries: tuple[ChartEntry, ...]
@@ -77,8 +75,7 @@ def dss_chart(n: int, stem_range: tuple[int, int], table: S1Table | None = None)
     return Chart(n, stem_range, tuple(entries))
 
 
-@dataclass(frozen=True)
-class Slice:
+class Slice(NamedTuple):
     index: int
     rho_shift: int
     offset: int  # 0 for even slices (k*rho), -1 for odd slices (k*rho - 1)
@@ -86,8 +83,7 @@ class Slice:
     marker: str = EXACT
 
 
-@dataclass(frozen=True)
-class SliceList:
+class SliceList(NamedTuple):
     n: int
     range: tuple[int, int]
     slices: tuple[Slice, ...]

@@ -14,8 +14,8 @@ from __future__ import annotations
 import csv
 import functools
 import warnings
-from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from . import _poly
 from .levels import STACKY_WEIGHTS, curve_invariants
@@ -44,12 +44,20 @@ BUILTIN = "builtin"
 USER = "user"
 
 
-@dataclass(frozen=True)
-class S1Table:
-    """Dimensions of weight-1 cusp forms for Gamma1(n), keyed by level."""
+class _S1Fields(NamedTuple):
+    values: dict[int, int]
+    provenance: dict[int, str]
 
-    values: dict[int, int] = field(default_factory=dict)
-    provenance: dict[int, str] = field(default_factory=dict)
+
+class S1Table(_S1Fields):
+    """Dimensions of weight-1 cusp forms for Gamma1(n), keyed by level;
+    ``S1Table()`` is an empty table with dicts of its own."""
+
+    __slots__ = ()
+
+    def __new__(cls, values=None, provenance=None):
+        return super().__new__(cls, {} if values is None else values,
+                               {} if provenance is None else provenance)
 
     def lookup(self, n: int):
         return self.values.get(n, UNKNOWN)
@@ -111,8 +119,7 @@ def s1(n: int, table: S1Table | None = None):
     return table.lookup(n)
 
 
-@dataclass(frozen=True)
-class RankTable:
+class RankTable(NamedTuple):
     """h^0/h^1 ranks of omega^k over an inclusive weight window.
 
     When ``needs_s1`` is set, the weight-1 entries are incomplete: ``h0[1]``
@@ -182,8 +189,7 @@ def rank_table(n: int, window: tuple[int, int], table: S1Table | None = None) ->
     return RankTable(n, window, h0, h1, needs_s1=needs and lo <= 1 <= hi, eisenstein_weight1=eis)
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(NamedTuple):
     """Generating function sum_k h0(k) t^k as numerator / prod (1 - t^{e_i})."""
 
     numerator: tuple[int, ...]

@@ -9,9 +9,9 @@ shift chain for the Hom(Tmf_1(3), -) module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cohomology import UNKNOWN, S1Table, s1
 from .levels import STACKY_WEIGHTS, curve_invariants, dsum_f, dsum_g, factorize, is_prime
@@ -127,8 +127,7 @@ def self_dual_candidates() -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
-@dataclass(frozen=True)
-class DualityVerdict:
+class DualityVerdict(NamedTuple):
     n: int
     twist: int | None
     self_dual: bool

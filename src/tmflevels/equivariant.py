@@ -12,9 +12,9 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd, prod
+from typing import NamedTuple
 
 from .cohomology import S1Table
 from .levels import divisors, dsum_f, factorize
@@ -23,19 +23,27 @@ from .splitting import base_for_prime, shift_polynomial
 MAX_ORDER = 10**4
 
 
-@dataclass(frozen=True)
-class FiniteAbelian:
-    """Invariant-factor form [n_1, ..., n_r] with n_{i+1} | n_i."""
-
+class _AbelianFields(NamedTuple):
     factors: tuple[int, ...]
 
-    def __post_init__(self):
-        for f in self.factors:
+
+class FiniteAbelian(_AbelianFields):
+    """Invariant-factor form [n_1, ..., n_r] with n_{i+1} | n_i."""
+
+    __slots__ = ()
+
+    def __new__(cls, factors: tuple[int, ...]):
+        for f in factors:
             if f < 2:
                 raise ValueError("invariant factors must be >= 2")
-        for a, b in zip(self.factors, self.factors[1:]):
+        for a, b in zip(factors, factors[1:]):
             if a % b != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
+        return super().__new__(cls, factors)
+
+    @classmethod
+    def _make(cls, fields):  # what _replace calls: through the checks of __new__
+        return cls(*fields)
 
     @staticmethod
     def _primary_types(orders) -> dict[int, list[int]]:
@@ -169,8 +177,7 @@ def quotient_invariant_factors(G: FiniteAbelian, K: frozenset) -> tuple[int, ...
     )
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     quotient: tuple[int, ...]
     label: str
     multiplicity: int
@@ -260,8 +267,7 @@ def components(G: FiniteAbelian) -> list[Component]:
     return [Component(q, _label(q), m) for q, m in sorted(quotients.items())]
 
 
-@dataclass(frozen=True)
-class DivisorSplit:
+class DivisorSplit(NamedTuple):
     divisor: int
     poly: object  # ShiftPolynomial, NoSplitting, or UNKNOWN
     expected_rank: int  # d_k * e1 * e2 / 24, independent of s1 data

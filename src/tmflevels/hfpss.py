@@ -93,10 +93,10 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, count, cycle, repeat
 from operator import concat, floordiv, mod, sub
+from typing import NamedTuple
 
 from . import _poly
 
@@ -116,15 +116,27 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class Generator:
+def _immutable(self, name: str, *value):
+    """``__setattr__`` and ``__delattr__`` of the records that keep derived
+    values in a ``__dict__``: they stay immutable, like the other records."""
+    raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+
+class Generator(NamedTuple):
     sym: str
     weight: int
     invertible: bool = False
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class _RingFields(NamedTuple):
+    name: str
+    base: str
+    generators: tuple[Generator, ...]
+    v: tuple[str, ...]
+    termination: str
+
+
+class RingSpec(_RingFields):
     """A graded monomial coefficient ring with its v-sequence.
 
     ``v`` lists the generator symbols representing v_1, ..., v_h (v_0 = 2 is
@@ -133,22 +145,18 @@ class RingSpec:
     A repeated symbol in the v-list marks the chain as degenerate from that
     point on; differentials beyond it vanish.
 
-    Derived once at construction, and left out of ``==``, ``hash`` and
-    ``repr``: ``effective_height``, the length of the non-degenerate initial
-    segment of the v-chain, and ``v_index``, the generator index of each v
-    in that segment.
+    Derived once at construction, and kept in the instance's ``__dict__``,
+    out of the tuple, so out of ``==``, ``hash`` and ``repr``:
+    ``effective_height``, the length of the non-degenerate initial segment
+    of the v-chain, and ``v_index``, the generator index of each v in that
+    segment.
     """
 
-    name: str
-    base: str
-    generators: tuple[Generator, ...]
-    v: tuple[str, ...]
-    termination: str
-    effective_height: int = field(init=False, compare=False, repr=False)
-    v_index: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _index: dict = field(init=False, compare=False, repr=False)
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
+    def __new__(cls, name: str, base: str, generators: tuple[Generator, ...],
+                v: tuple[str, ...], termination: str):
+        self = super().__new__(cls, name, base, generators, v, termination)
         index = {g.sym: i for i, g in enumerate(self.generators)}
         if len(index) != len(self.generators):
             raise ValueError("generator symbols must be distinct")
@@ -167,9 +175,8 @@ class RingSpec:
         h_eff = 0
         while h_eff < len(self.v) and self.v[h_eff] not in self.v[:h_eff]:
             h_eff += 1
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "effective_height", h_eff)
-        object.__setattr__(self, "v_index", tuple(index[sym] for sym in self.v[:h_eff]))
+        self.__dict__.update(_index=index, effective_height=h_eff,
+                             v_index=tuple(index[sym] for sym in self.v[:h_eff]))
         for k, i in enumerate(self.v_index, start=1):
             g = self.generators[i]
             if g.weight != 2**k - 1:
@@ -179,6 +186,11 @@ class RingSpec:
         if self.termination == TERM_INVERTIBLE and h_eff == len(self.v):
             if not self.generator(self.v[-1]).invertible:
                 raise ValueError("termination 'invertible' requires an invertible last v")
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # what _replace calls: through the checks of __new__
+        return cls(*fields)
 
     @property
     def height(self) -> int:
@@ -204,42 +216,63 @@ class RingSpec:
         return None
 
 
-@dataclass(frozen=True)
-class Window:
-    """Symmetric degree rectangle |c| <= c, |d| <= d with filtration <= f."""
-
+class _WindowFields(NamedTuple):
     c: int
     d: int
     f: int
 
-    def __post_init__(self):
-        if self.c < 0 or self.d < 0 or self.f < 0:
+
+class Window(_WindowFields):
+    """Symmetric degree rectangle |c| <= c, |d| <= d with filtration <= f."""
+
+    __slots__ = ()
+
+    def __new__(cls, c: int, d: int, f: int):
+        if c < 0 or d < 0 or f < 0:
             raise ValueError("window extents must be nonnegative")
+        return super().__new__(cls, c, d, f)
+
+    @classmethod
+    def _make(cls, fields):  # what _replace calls: through the checks of __new__
+        return cls(*fields)
 
     def contains(self, c: int, d: int) -> bool:
         return abs(c) <= self.c and abs(d) <= self.d
 
 
-@dataclass(frozen=True, init=False)
-class EinftyChart:
-    """An E_infty chart on a window.  ``records`` is its strategy's readout,
-    which both writers read (see the module docstring).  ``entries``,
-    (c, d) -> tuple of (filtration, group, multiplicity), is built from the
-    records on first use, or given outright for a hand-made chart, which
-    then has no records, and the writers write its entries."""
-
+class _ChartFields(NamedTuple):
     ring: str
     window: Window
     bound: int
     collapse_page: int
     pages_fired: tuple[int, ...]
-    records: list = field(repr=False)
+    records: list
 
-    def __init__(self, ring, window, bound, collapse_page, pages_fired, entries=None, records=()):
-        self.__dict__.update(ring=ring, window=window, bound=bound, collapse_page=collapse_page,
-                             pages_fired=pages_fired, records=records)
+
+class EinftyChart(_ChartFields):
+    """An E_infty chart on a window.  ``records`` is its strategy's readout,
+    which both writers read (see the module docstring), and is left out of
+    ``repr``.  ``entries``, (c, d) -> tuple of (filtration, group,
+    multiplicity), is built from the records on first use, or given outright
+    for a hand-made chart, which then has no records, and the writers write
+    its entries."""
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __new__(cls, ring, window, bound, collapse_page, pages_fired, entries=None, records=()):
+        self = super().__new__(cls, ring, window, bound, collapse_page, pages_fired, records)
         if entries is not None:
             self.__dict__["entries"] = entries
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # what _replace calls: records by keyword
+        *head, records = fields
+        return cls(*head, records=records)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields[:-1], self))
+        return f"{type(self).__name__}({shown})"
 
     @cached_property
     def entries(self) -> dict:
@@ -325,36 +358,43 @@ def _diagonals(records, f: int):
         yield tuple(sig), c_lo, t, len(cols[0]), zip(*cols)
 
 
+def _labels(sig: tuple) -> list:
+    """The (filtration, group) of each of a slot's counts on a diagonal of
+    signature ``sig``: each layer's full count, and at s = 0 then its
+    index-two count."""
+    return [(s, GROUP_Z2) for s in sig] if sig[0] else [
+        (0, GROUP_Z), (0, GROUP_Z_DIV2), *((s, GROUP_Z2) for s in sig[1:])]
+
+
 class _Cells(dict):
-    """A signature's memo: a slot's counts -> ``text`` of its classes, made
-    on first use; a slot of zeros has None, no cell."""
+    """A signature's memo: a slot's counts -> its text, made by ``make`` on
+    first use; a slot of zeros has None, no cell."""
 
-    __slots__ = ("labels", "text")
+    __slots__ = ("make",)
 
-    def __init__(self, sig: tuple, text):
-        self.labels = [(s, GROUP_Z2) for s in sig] if sig[0] else [
-            (0, GROUP_Z), (0, GROUP_Z_DIV2), *((s, GROUP_Z2) for s in sig[1:])]
-        self.text = text
-        self[(0,) * len(self.labels)] = None
+    def __init__(self, make, zeros: tuple):
+        self.make = make
+        self[zeros] = None
 
     def __missing__(self, counts: tuple):
-        cell = self[counts] = self.text(tuple([
-            (s, g, n) for (s, g), n in zip(self.labels, counts) if n]))
+        cell = self[counts] = self.make(counts)
         return cell
 
 
-def _degrees(records, window: Window, text) -> list:
+def _degrees(records, window: Window, cell) -> list:
     """The window's degrees in the order of the JSON entries, c then d
     ascending: (c, d) is at (c + C)(2D + 1) + d + D, and holds the text of
-    its classes (``text``), or None if it holds none.  A degree's
-    classes come sorted, s ascending and Z before Z_div2.  Each diagonal's
-    slots go through its signature's memo (``_Cells``), and into the grid as
-    one slice of step 2D + 2, a slot's step in c and d."""
+    its classes, or None if it holds none.  ``cell(sig)`` gives the function
+    that makes a slot's text from its counts (``_labels``) on a diagonal of
+    signature sig; a degree's classes come sorted, s ascending and Z before
+    Z_div2.  Each diagonal's slots go through its signature's memo
+    (``_Cells``), and into the grid as one slice of step 2D + 2, a slot's
+    step in c and d."""
     rows, memos = 2 * window.d + 1, {}
     grid = [None] * ((2 * window.c + 1) * rows)
     for sig, c_lo, t, n, slots in _diagonals(records, window.f):
         if (memo := memos.get(sig)) is None:
-            memo = memos[sig] = _Cells(sig, text)
+            memo = memos[sig] = _Cells(cell(sig), (0,) * (len(sig) + (not sig[0])))
         i = (c_lo + window.c) * rows + c_lo - t + window.d
         if n == 1:  # as in a flat window: a slice would cost more than it saves
             grid[i] = memo[next(slots)]
@@ -363,12 +403,13 @@ def _degrees(records, window: Window, text) -> list:
     return grid
 
 
-def _chart_grid(chart: EinftyChart, text) -> list:
+def _chart_grid(chart: EinftyChart, cell, text) -> list:
     """``_degrees`` of the chart's records, or, for a chart without records,
-    such as a hand-made one, the same grid filled from its entries."""
+    such as a hand-made one, the same grid filled from its entries, each
+    degree's text made by ``text`` from its classes."""
     w = chart.window
     if chart.records:
-        return _degrees(chart.records, w, text)
+        return _degrees(chart.records, w, cell)
     rows = 2 * w.d + 1
     grid = [None] * ((2 * w.c + 1) * rows)
     for (c, d), classes in chart.entries.items():
@@ -384,11 +425,17 @@ def _held_cells(grid: list):
     return zip(compress(range(len(grid)), grid), filter(None, grid))
 
 
+def _class_cell(sig: tuple):
+    """A slot's classes, (filtration, group, count) for each nonzero count."""
+    labels = _labels(sig)
+    return lambda counts: tuple([(s, g, n) for (s, g), n in zip(labels, counts) if n])
+
+
 def _entries(records, window: Window) -> dict:
     """The library's chart, (c, d) -> classes, from a readout."""
     rows = 2 * window.d + 1
     return {(i // rows - window.c, i % rows - window.d): classes
-            for i, classes in _held_cells(_degrees(records, window, tuple))}
+            for i, classes in _held_cells(_degrees(records, window, _class_cell))}
 
 
 def _held(records) -> list:
@@ -860,6 +907,13 @@ def _json_classes(classes: tuple) -> str:
     return ", ".join([f"[{s}, {_GROUP_JSON[g]}, {n}]" for s, g, n in classes])
 
 
+def _json_cell(sig: tuple):
+    """``_json_classes`` of a slot, from its counts: each label's text,
+    ``[s, "group", ``, is made once per signature."""
+    heads = [f"[{s}, {_GROUP_JSON[g]}, " for s, g in _labels(sig)]
+    return lambda counts: ", ".join([f"{head}{n}]" for head, n in zip(heads, counts) if n])
+
+
 def render_json(chart: EinftyChart, version: int) -> str:
     """``json.dumps({**chart_to_dict(chart), "version": version},
     sort_keys=True)`` and a newline, written straight from the chart's grid
@@ -869,7 +923,7 @@ def render_json(chart: EinftyChart, version: int) -> str:
     and row when the grid holds more classes' texts than that; in a flat
     window, which holds fewer, each entry is formatted whole instead."""
     w, rows = chart.window, 2 * chart.window.d + 1
-    grid = _chart_grid(chart, _json_classes)
+    grid = _chart_grid(chart, _json_cell, _json_classes)
     if len(grid) - grid.count(None) > 2 * w.c + 1 + rows:
         heads = [f'{{"c": {c}, "classes": [' for c in range(-w.c, w.c + 1)]
         tails = [f'], "d": {d}}}' for d in range(-w.d, w.d + 1)]
@@ -894,14 +948,22 @@ def render_ascii(chart: EinftyChart) -> str:
     the rows that hold a class are filled cell by cell."""
     w, texts = chart.window, set()
 
-    def triple(classes):
+    def triple(z, z_div2, f2):
+        texts.add(text := f"{z}/{z_div2}/{f2}")
+        return text
+
+    def cell(sig):  # a slot's counts: at s = 0 first the lattice, then index two
+        if sig[0]:
+            return lambda counts: triple(0, 0, sum(counts))
+        return lambda counts: triple(counts[0], counts[1], sum(counts[2:]))
+
+    def summed(classes):
         counts = dict.fromkeys(_GROUPS, 0)
         for _, g, n in classes:
             counts[g] += n
-        texts.add(text := "/".join(map(str, counts.values())))
-        return text
+        return triple(*counts.values())
 
-    grid, rows = _chart_grid(chart, triple), 2 * w.d + 1
+    grid, rows = _chart_grid(chart, cell, summed), 2 * w.d + 1
     width = max([9] + [len(text) + 1 for text in texts])
     empty = ".".center(width)
     cells = {text: text.center(width) for text in texts}

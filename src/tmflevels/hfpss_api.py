@@ -10,7 +10,7 @@ loads this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import hfpss
 from .hfpss import GROUP_Z, GROUP_Z2, STRATEGY_PAGES, EinftyChart, RingSpec, Window
@@ -21,8 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RO2Degree:
+class RO2Degree(NamedTuple):
     """c + d*sigma; the regular representation rho is 1 + sigma."""
 
     c: int
@@ -72,8 +71,7 @@ def weight_basis(spec: RingSpec, w: int, bound: int) -> tuple[tuple[int, ...], .
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class PageClass:
+class PageClass(NamedTuple):
     """Monomial class w * a^s * u^m; filtration s, coefficients Z at s = 0
     and Z/2 above."""
 
@@ -111,9 +109,7 @@ def e2_basis(
     bound: int | None = None,
 ) -> list[PageClass]:
     """All E2 classes in one RO(C2) degree up to a filtration bound."""
-    if isinstance(degree, tuple):
-        degree = RO2Degree(*degree)
-    c, d = degree.c, degree.d
+    c, d = degree
     if bound is None:
         bound = (abs(c) + abs(d) + max_filtration) // 2 + 2
     out = []
@@ -241,8 +237,7 @@ def transfer_check(
     return out
 
 
-@dataclass(frozen=True)
-class VChainReport:
+class VChainReport(NamedTuple):
     declared_height: int
     effective_height: int
     degenerate: bool

@@ -8,11 +8,11 @@ for n <= 4.  All arithmetic is exact (int / Fraction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 
 class Kind(Enum):
@@ -97,14 +97,12 @@ def degree_closed_form(n: int) -> int:
 STACKY_WEIGHTS = {1: (4, 6), 2: (2, 4), 3: (1, 3), 4: (1, 2)}
 
 
-@dataclass(frozen=True)
-class StackyData:
+class StackyData(NamedTuple):
     n: int
     weights: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class CurveInvariants:
+class CurveInvariants(NamedTuple):
     n: int
     d: int
     deg_omega: int | None
@@ -139,42 +137,50 @@ def curve_invariants(n: int) -> CurveInvariants:
     return CurveInvariants(n, d, int(deg_omega), int(cusps), int(genus), True)
 
 
-@dataclass(frozen=True)
-class LevelSpec:
+class _LevelFields(NamedTuple):
+    n: int
+    kind: Kind
+    subgroup: tuple[int, ...] | None
+
+
+class LevelSpec(_LevelFields):
     """A congruence subgroup of level n.
 
     For INTERMEDIATE kind, ``subgroup`` lists the unit residues mod n that cut
     out the group between Gamma1(n) and Gamma0(n) (identified via the
     determinant); it must contain 1 and be closed under multiplication mod n.
+    It is kept sorted and reduced mod n.
     """
 
-    n: int
-    kind: Kind
-    subgroup: tuple[int, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, kind: Kind, subgroup: tuple[int, ...] | None = None):
+        if n < 1:
             raise ValueError("level must be >= 1")
-        if self.kind is Kind.INTERMEDIATE:
-            if not self.subgroup:
+        if kind is Kind.INTERMEDIATE:
+            if not subgroup:
                 raise ValueError("intermediate subgroup needs an explicit residue list")
-            res = tuple(sorted(r % self.n for r in self.subgroup))
-            object.__setattr__(self, "subgroup", res)
-            if 1 not in res:
+            subgroup = tuple(sorted(r % n for r in subgroup))
+            if 1 not in subgroup:
                 raise ValueError("subgroup must contain 1")
-            if len(set(res)) != len(res):
+            if len(set(subgroup)) != len(subgroup):
                 raise ValueError("duplicate residues in subgroup")
-            for r in res:
-                if gcd(r, self.n) != 1:
-                    raise ValueError(f"residue {r} is not a unit mod {self.n}")
-            for a in res:
-                for b in res:
-                    if (a * b) % self.n not in res:
+            for r in subgroup:
+                if gcd(r, n) != 1:
+                    raise ValueError(f"residue {r} is not a unit mod {n}")
+            for a in subgroup:
+                for b in subgroup:
+                    if (a * b) % n not in subgroup:
                         raise ValueError("residue list not closed under multiplication")
-            if euler_phi(self.n) % len(res) != 0:
+            if euler_phi(n) % len(subgroup) != 0:
                 raise ValueError("subgroup order must divide phi(n)")
-        elif self.subgroup is not None:
+        elif subgroup is not None:
             raise ValueError("residue list only allowed for INTERMEDIATE kind")
+        return super().__new__(cls, n, kind, subgroup)
+
+    @classmethod
+    def _make(cls, fields):  # what _replace calls: through the checks of __new__
+        return cls(*fields)
 
     @property
     def index_over_gamma1(self) -> int:

@@ -14,8 +14,8 @@ level, so every output carries a torsion verdict alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import _poly
 from .cohomology import UNKNOWN, S1Table, hilbert_series
@@ -50,8 +50,7 @@ def base_for_prime(l: int) -> Base:
     raise ValueError(f"not a prime (or 0): {l}")
 
 
-@dataclass(frozen=True)
-class ShiftPolynomial:
+class ShiftPolynomial(NamedTuple):
     """Q(t) = sum_j l_j t^j; summand Sigma^{2j} (equivariantly Sigma^{j rho})
     of the base module occurs with multiplicity l_j."""
 
@@ -74,8 +73,7 @@ class ShiftPolynomial:
         return max((j for j, c in self.coeffs.items() if c), default=0)
 
 
-@dataclass(frozen=True)
-class NoSplitting:
+class NoSplitting(NamedTuple):
     n: int
     base: Base
     reason: str
@@ -145,8 +143,7 @@ class Symmetry(Enum):
     NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class RationalSplit:
+class RationalSplit(NamedTuple):
     poly: ShiftPolynomial
     symmetry: Symmetry
     twist: int | None

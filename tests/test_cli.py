@@ -188,23 +188,36 @@ def run_python(probe, *path):
 
 def test_cli_import_loads_no_process_pool():
     # The scan runs in-process, and a request runs only the modules its
-    # subcommand uses: importing the CLI pays for neither a pool nor hfpss.
+    # subcommand uses: importing the CLI pays for neither a pool nor hfpss,
+    # and no subcommand loads dataclasses or inspect.  Only the modules that
+    # the import and the requests add count, not what site preloaded.
     probe = f"""if True:
         import io, json, sys, types
+        held = set(sys.modules)
         import tmflevels.cli as cli
 
         def ran():
             return [n for n in {LAZY!r} if type(sys.modules["tmflevels." + n]) is types.ModuleType]
 
-        seen = [[m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules], ran()]
+        def added():
+            return [m for m in ("multiprocessing", "concurrent.futures", "dataclasses", "inspect")
+                    if m in sys.modules and m not in held]
+
+        seen = [added(), ran()]
         for argv in (["invariants", "--n", "23"], ["duality", "--n", "1"],
-                     ["hfpss", "--ring", "height1-laurent", "--window", "2", "2", "2"]):
+                     ["hfpss", "--ring", "height1-laurent", "--window", "2", "2", "2"],
+                     ["chart", "--n", "5", "--range", "0..4"], ["split", "--n", "5", "--prime", "2"],
+                     ["equivariant", "--group", "6", "--prime", "5"]):
             assert cli.main(argv, io.StringIO()) == 0
             seen.append(ran())
+        seen.append(added())
         seen.append("tmflevels.hfpss_api" in sys.modules)
         print(json.dumps(seen))
     """
-    assert run_python(probe) == [[], [], [], ["duality"], ["duality", "hfpss"], False]
+    assert run_python(probe) == [
+        [], [], [], ["duality"], ["duality", "hfpss"], ["charts", "duality", "hfpss"],
+        ["charts", "duality", "hfpss", "splitting"], list(LAZY), [], False,
+    ]
 
 
 @pytest.mark.parametrize("before", ["import tmflevels.hfpss, tmflevels.equivariant", "pass"])

@@ -99,8 +99,15 @@ def test_from_orders_normalization():
     assert FiniteAbelian.from_orders([4, 2]).factors == (4, 2)
     assert FiniteAbelian.from_orders([2, 2, 4]).factors == (4, 2, 2)
     assert FiniteAbelian.from_orders([1]).factors == ()
-    with pytest.raises(ValueError):
-        FiniteAbelian((2, 4))  # divisibility chain violated
+    for factors, message in (
+        ((2, 4), "invariant factors must form a divisibility chain"),
+        ((1,), "invariant factors must be >= 2"),
+        ((2, 4, 1), "invariant factors must be >= 2"),  # every factor before the chain
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FiniteAbelian(factors)
+    with pytest.raises(ValueError, match="^invariant factors must be >= 2$"):
+        FiniteAbelian((4, 2))._replace(factors=(4, 1))
 
 
 def test_subgroups_cyclic6():

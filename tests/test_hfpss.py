@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from itertools import repeat
 from pathlib import Path
 
@@ -265,16 +266,28 @@ def test_weight_basis_equals_a_brute_force_filter():
 
 
 def test_ringspec_validation():
-    with pytest.raises(ValueError):
-        RingSpec("bad", "Z2loc", (Generator("x", 1), Generator("x", 2)), ("x",), "in_ideal")
-    with pytest.raises(ValueError):
-        RingSpec("bad", "Z2loc", (Generator("x", 1),), ("y",), "in_ideal")
-    with pytest.raises(ValueError):
-        RingSpec("bad", "Z2loc", (Generator("x", 2),), ("x",), "in_ideal")  # v1 weight
-    with pytest.raises(ValueError):
-        RingSpec("bad", "Z2loc", (Generator("x", 1),), ("x",), "invertible")  # not invertible
-    with pytest.raises(ValueError):
-        RingSpec("bad", "Z2loc", (Generator("x", 1),), (), "invertible")
+    x1, x2 = (Generator("x", 1),), (Generator("x", 2),)
+    # each refusal keeps its message, and the checks run in this order
+    for args, message in (
+        (("Z2loc", (Generator("x", 1), Generator("x", 2)), ("x",), "in_ideal"),
+         "generator symbols must be distinct"),
+        (("Z2loc", x1, ("y",), "in_ideal"), "v-assignment y is not a generator"),
+        (("Z2loc", x2, ("x",), "in_ideal"), "v_1 = x must have weight 1, got 2"),
+        (("Z2loc", x1, ("x",), "invertible"),
+         "termination 'invertible' requires an invertible last v"),
+        (("Z2loc", x1, (), "invertible"), "an empty v-sequence needs termination 'in_ideal'"),
+        (("Q", (Generator("x", 1), Generator("x", 2)), ("x",), "in_ideal"),
+         "generator symbols must be distinct"),
+        (("Q", x2, ("y",), "nope"), "base must be 'Z' or 'Z2loc'"),
+        (("Z", (Generator("x", 0),), ("y",), "nope"), "generator x must have weight >= 1"),
+        (("Z", x2, ("y",), "nope"), "v-assignment y is not a generator"),
+        (("Z", x2, ("x",), "nope"), "termination must be 'invertible' or 'in_ideal'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RingSpec("bad", *args)
+    with pytest.raises(ValueError, match="^base must be 'Z' or 'Z2loc'$"):
+        H2L._replace(base="Q")
+    assert H2L._replace(name="twin").v_index == (0, 1)
     # empty v-chain with in_ideal termination is the no-differential ring
     empty = RingSpec("flat", "Z2loc", (Generator("x", 1),), (), "in_ideal")
     assert empty.effective_height == 0 and empty.vanishing_line is None
@@ -290,17 +303,22 @@ def test_ringspec_json_roundtrip(tmp_path):
 
 def test_ringspec_from_dict_shape():
     good = ringspec_to_dict(H2L)
-    for bad in (
-        [1, 2],
-        {k: v for k, v in good.items() if k != "generators"},
-        {**good, "generators": [1]},
-        {**good, "generators": [{"sym": "a1"}]},
-        {**good, "generators": [{"sym": "a1", "weight": None}]},
-        {**good, "generators": [{"sym": "a1", "weight": 1.5}]},
-        {**good, "generators": {"sym": "a1", "weight": 1}},
-        {**good, "v": None},
+    keys = "ring spec must be a JSON object with keys name, base, generators, v, termination"
+    gens = "ring spec generators must be objects with a string 'sym' and an integer 'weight'"
+    for bad, message in (
+        ([1, 2], keys),
+        ({k: v for k, v in good.items() if k != "generators"}, keys),
+        ({**good, "generators": [1]}, gens),
+        ({**good, "generators": [{"sym": "a1"}]}, gens),
+        ({**good, "generators": [{"sym": "a1", "weight": None}]}, gens),
+        ({**good, "generators": [{"sym": "a1", "weight": 1.5}]}, gens),
+        ({**good, "generators": {"sym": "a1", "weight": 1}}, gens),
+        ({**good, "generators": [{"sym": "a1", "weight": 1, "invertible": 1}]},
+         "ring spec generator 'invertible' must be true or false"),
+        ({**good, "v": None}, "ring spec 'v' must be a list of generator symbols"),
+        ({**good, "base": "Q"}, "base must be 'Z' or 'Z2loc'"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ringspec_from_dict(bad)
     for name in (1.5, float("inf"), float("nan"), {"b": 1, "a": 2}, None, 7, True):
         with pytest.raises(ValueError, match="^ring spec 'name' must be a string$"):
@@ -557,8 +575,11 @@ def test_ro2degree_arithmetic():
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        Window(-1, 2, 2)
+    for extents in ((-1, 2, 2), (2, -1, 2), (2, 2, -1)):
+        with pytest.raises(ValueError, match="^window extents must be nonnegative$"):
+            Window(*extents)
+    with pytest.raises(ValueError, match="^window extents must be nonnegative$"):
+        Window(1, 2, 3)._replace(f=-1)
     with pytest.raises(ValueError):
         compute_einfty(H1, Window(4, 4, 4), "banana")
     with pytest.raises(ValueError):
@@ -819,6 +840,9 @@ def test_ringspec_derived_fields_stay_out_of_eq_hash_repr_and_dict():
         object.__setattr__(twin, name, None)
     assert twin == H2L and hash(twin) == hash(H2L) and repr(twin) == repr(H2L)
     assert ringspec_to_dict(twin) == ringspec_to_dict(H2L)
+    for name in ("effective_height", "v_index", "_index", "name"):  # read-only
+        with pytest.raises(AttributeError):
+            setattr(H2L, name, None)
     assert tuple(ringspec_to_dict(H2L)) == RING_KEYS
 
 

@@ -127,14 +127,25 @@ def test_is_tame_intermediate():
 
 
 def test_level_spec_validation():
-    with pytest.raises(ValueError):
-        LevelSpec(7, Kind.INTERMEDIATE, (1, 2))  # 2*2=4 missing
-    with pytest.raises(ValueError):
-        LevelSpec(7, Kind.INTERMEDIATE, (2, 4))  # missing 1
-    with pytest.raises(ValueError):
-        LevelSpec(6, Kind.INTERMEDIATE, (1, 3))  # 3 not a unit mod 6
-    with pytest.raises(ValueError):
-        LevelSpec(7, Kind.GAMMA1, (1,))  # residues only for intermediate
+    # each refusal keeps its message, and the checks run in this order
+    for args, message in (
+        ((7, Kind.INTERMEDIATE, (1, 2)), "residue list not closed under multiplication"),
+        ((7, Kind.INTERMEDIATE, (2, 4)), "subgroup must contain 1"),
+        ((6, Kind.INTERMEDIATE, (1, 3)), "residue 3 is not a unit mod 6"),
+        ((7, Kind.GAMMA1, (1,)), "residue list only allowed for INTERMEDIATE kind"),
+        ((0, Kind.GAMMA1, (1,)), "level must be >= 1"),
+        ((7, Kind.INTERMEDIATE), "intermediate subgroup needs an explicit residue list"),
+        ((7, Kind.INTERMEDIATE, ()), "intermediate subgroup needs an explicit residue list"),
+        ((7, Kind.INTERMEDIATE, (1, 8)), "duplicate residues in subgroup"),
+        ((6, Kind.INTERMEDIATE, (3, 5)), "subgroup must contain 1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LevelSpec(*args)
+    with pytest.raises(ValueError, match="^subgroup must contain 1$"):
+        LevelSpec(7, Kind.INTERMEDIATE, (1, 2, 4))._replace(subgroup=(2, 4))
+    # the residues are reduced mod n and sorted before the record is built
+    assert LevelSpec(7, Kind.INTERMEDIATE, (9, 1, 4)).subgroup == (1, 2, 4)
+    assert LevelSpec(n=7, kind=Kind.GAMMA0) == (7, Kind.GAMMA0, None)
 
 
 def test_is_squarefree():
