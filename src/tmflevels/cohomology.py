@@ -11,13 +11,11 @@ silent zero.
 
 from __future__ import annotations
 
-import csv
 import functools
 import warnings
 from importlib import resources
 from typing import NamedTuple
 
-from . import _poly
 from .levels import STACKY_WEIGHTS, curve_invariants
 
 
@@ -65,13 +63,13 @@ class S1Table(_S1Fields):
 
 @functools.lru_cache(maxsize=1)
 def builtin_s1_table() -> S1Table:
+    """The packaged table: the header ``n,s1``, then rows of two integers."""
     text = resources.files(__package__).joinpath("s1_builtin.csv").read_text("utf-8")
-    values, prov = {}, {}
-    for row in csv.DictReader(text.splitlines()):
-        n = int(row["n"])
-        values[n] = int(row["s1"])
-        prov[n] = BUILTIN
-    return S1Table(values, prov)
+    values = {}
+    for line in text.splitlines()[1:]:
+        n, v = line.split(",")
+        values[int(n)] = int(v)
+    return S1Table(values, dict.fromkeys(values, BUILTIN))
 
 
 def load_s1_table(path=None) -> S1Table:
@@ -84,6 +82,7 @@ def load_s1_table(path=None) -> S1Table:
     base = builtin_s1_table()
     if path is None:
         return base
+    import csv
     values = dict(base.values)
     prov = dict(base.provenance)
     with open(path, encoding="utf-8", newline="") as fh:
@@ -196,6 +195,7 @@ class HilbertSeries(NamedTuple):
     denominator_exponents: tuple[int, int]
 
     def expand(self, order: int) -> list[int]:
+        from . import _poly
         return _poly.series_of_quotient(list(self.numerator), self.denominator_exponents, order)
 
 
@@ -216,4 +216,5 @@ def hilbert_series(n: int, table: S1Table | None = None):
     for k in range(4, 9):
         if num[k] != 0:
             raise ArithmeticError(f"Hilbert numerator not supported on 0..3 at n={n}, k={k}")
+    from . import _poly
     return HilbertSeries(tuple(_poly.trim(num[:4])), (1, 1))

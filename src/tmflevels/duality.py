@@ -9,12 +9,14 @@ shift chain for the Hom(Tmf_1(3), -) module.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cohomology import UNKNOWN, S1Table, s1
 from .levels import STACKY_WEIGHTS, curve_invariants, dsum_f, dsum_g, factorize, is_prime
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Degree-equality levels (f(n) = 12 g(n)) whose weight-1 cusp space is known to
 # be one-dimensional; among the six solutions only n=23 qualifies.
@@ -44,8 +46,8 @@ def twist(n: int, table: S1Table | None = None) -> int | None:
         return -a - b
     inv = curve_invariants(n)
     if inv.genus == 0:
-        q = Fraction(-2, inv.deg_omega)
-        return int(q) if q.denominator == 1 else None
+        q, r = divmod(-2, inv.deg_omega)
+        return None if r else q
     if inv.genus == 1:
         return 0
     if dsum_f(n) != 12 * dsum_g(n):
@@ -69,16 +71,13 @@ def degreecomp_solutions(limit: int) -> list[int]:
 
 def ratio_table(p: int, k: int) -> Fraction:
     """Exact ratio g(p^k) / f(p^k) for a prime power."""
+    from fractions import Fraction
     if not is_prime(p):
         raise ValueError("p must be prime")
     if k < 1:
         raise ValueError("k must be >= 1")
     q = p**k
     return Fraction(dsum_g(q), dsum_f(q))
-
-
-# Self-dual levels have g(n)/f(n) >= 1/12; see self_dual_candidates.
-CANDIDATE_RATIO = Fraction(1, 12)
 
 
 def _next_prime(p: int) -> int:
@@ -111,19 +110,22 @@ def self_dual_candidates() -> tuple[int, ...]:
     depth-first search grows each candidate by p^k for primes p above its
     largest prime factor, stops raising k once the ratio falls below 1/12,
     and stops raising p once even k = 1 does.
+
+    The search carries g(n) and f(n) as integers, multiplying them by
+    g(p^k) and f(p^k), and tests the ratio bound as 12*g >= f.
     """
     found = []
 
-    def grow(n: int, ratio: Fraction, p: int):
+    def grow(n: int, g: int, f: int, p: int):
         found.append(n)
-        while ratio * ratio_table(p, 1) >= CANDIDATE_RATIO:
+        while 12 * g * dsum_g(p) >= f * dsum_f(p):
             k = 1
-            while (r := ratio * ratio_table(p, k)) >= CANDIDATE_RATIO:
-                grow(n * p**k, r, _next_prime(p))
+            while 12 * (gk := g * dsum_g(p**k)) >= (fk := f * dsum_f(p**k)):
+                grow(n * p**k, gk, fk, _next_prime(p))
                 k += 1
             p = _next_prime(p)
 
-    grow(1, Fraction(1), 2)
+    grow(1, 1, 1, 2)
     return tuple(sorted(found))
 
 
@@ -215,6 +217,7 @@ def degree_equality_via_ratios(limit: int) -> list[int]:
     f(n) = 12 g(n) iff the product of g(p^k)/f(p^k) over the factorization
     equals 1/12; this is the multiplicativity cross-check.
     """
+    from fractions import Fraction
     out = []
     target = Fraction(1, 12)
     for n in range(1, limit + 1):

@@ -3,13 +3,12 @@
 Degree, cusp and genus invariants of the modular curves X_1(n), the
 multiplicative divisor sums behind them, tameness and squarefreeness
 predicates, and the weighted-projective data replacing the curve invariants
-for n <= 4.  All arithmetic is exact (int / Fraction).
+for n <= 4.  All arithmetic is exact (int).
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
@@ -127,14 +126,16 @@ def curve_invariants(n: int) -> CurveInvariants:
         raise ArithmeticError(f"divisor sum and Euler product disagree at n={n}")
     if n <= 4:
         return CurveInvariants(n, d, None, None, None, False, stacky_data(n))
-    deg_omega = Fraction(d, 24)
-    cusps = Fraction(dsum_g(n), 2)
-    genus = 1 + deg_omega - Fraction(dsum_g(n), 4)
-    if deg_omega.denominator != 1 or cusps.denominator != 1 or genus.denominator != 1:
+    # deg(omega) = d/24, cusps = g/2 and genus = 1 + d/24 - g/4 = (24 + d - 6g)/24.
+    g = dsum_g(n)
+    deg_omega, r_deg = divmod(d, 24)
+    cusps, r_cusps = divmod(g, 2)
+    genus, r_genus = divmod(24 + d - 6 * g, 24)
+    if r_deg or r_cusps or r_genus:
         raise ArithmeticError(f"fractional curve invariant at n={n}")
     if genus < 0:
         raise ArithmeticError(f"negative genus at n={n}")
-    return CurveInvariants(n, d, int(deg_omega), int(cusps), int(genus), True)
+    return CurveInvariants(n, d, deg_omega, cusps, genus, True)
 
 
 class _LevelFields(NamedTuple):

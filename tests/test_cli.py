@@ -220,6 +220,25 @@ def test_cli_import_loads_no_process_pool():
     ]
 
 
+def test_cheap_requests_load_no_fractions_csv_or_poly():
+    # The integer arithmetic of levels and duality, the packaged s1 table and
+    # the rank tables need neither fractions (with decimal and numbers), csv
+    # nor _poly.  Only the modules that the import and the requests add
+    # count, not what site preloaded.
+    probe = """if True:
+        import io, json, sys
+        held = set(sys.modules)
+        import tmflevels.cli as cli
+
+        for argv in (["invariants", "--n", "23"], ["duality", "--n", "1"],
+                     ["duality", "--scan", "50"], ["chart", "--n", "5", "--range", "0..4"]):
+            assert cli.main(argv, io.StringIO()) == 0
+        print(json.dumps([m for m in ("fractions", "decimal", "numbers", "csv", "tmflevels._poly")
+                          if m in sys.modules and m not in held]))
+    """
+    assert run_python(probe) == []
+
+
 @pytest.mark.parametrize("before", ["import tmflevels.hfpss, tmflevels.equivariant", "pass"])
 def test_one_module_object_per_name(before):
     # Whether a module was imported before the CLI or is bound lazily by it,

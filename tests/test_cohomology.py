@@ -1,9 +1,13 @@
 """Rank tables, s1 handling and Hilbert series."""
 
+import csv
+from importlib import resources
+
 import pytest
 
 from tmflevels._poly import series_of_quotient
 from tmflevels.cohomology import (
+    BUILTIN,
     UNKNOWN,
     builtin_s1_table,
     hilbert_series,
@@ -193,3 +197,14 @@ def test_series_of_quotient():
 
 def test_builtin_table_has_23_entries():
     assert len(builtin_s1_table().values) == 23
+
+
+def test_builtin_table_matches_csv_parse():
+    # builtin_s1_table splits the packaged file's lines itself; a csv parse
+    # of the same file is its oracle, values and provenance alike.
+    text = resources.files("tmflevels").joinpath("s1_builtin.csv").read_text("utf-8")
+    rows = list(csv.DictReader(text.splitlines()))
+    table = builtin_s1_table()
+    assert table.values == {int(r["n"]): int(r["s1"]) for r in rows}
+    assert table.provenance == {int(r["n"]): BUILTIN for r in rows}
+    assert list(table.values) == list(table.provenance) == [int(r["n"]) for r in rows]

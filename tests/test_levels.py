@@ -1,9 +1,12 @@
 """Level arithmetic: divisor sums, curve invariants, predicates."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from tmflevels import levels
+from tmflevels.duality import twist
 from tmflevels.levels import (
     CurveInvariants,
     Kind,
@@ -85,6 +88,53 @@ def test_curve_invariants_n23_derived():
     inv = curve_invariants(23)
     assert inv == CurveInvariants(23, 528, 22, 22, 12, True)
     assert inv.genus == genus == 12
+
+
+def fraction_invariants(n):
+    """``curve_invariants`` by its Fraction formulas: the oracle for its integer
+    arithmetic, with the same checks in the same order."""
+    d = levels.dsum_f(n)
+    if n <= 4:
+        return CurveInvariants(n, d, None, None, None, False, stacky_data(n))
+    deg_omega = Fraction(d, 24)
+    cusps = Fraction(levels.dsum_g(n), 2)
+    genus = 1 + deg_omega - Fraction(levels.dsum_g(n), 4)
+    if deg_omega.denominator != 1 or cusps.denominator != 1 or genus.denominator != 1:
+        raise ArithmeticError(f"fractional curve invariant at n={n}")
+    if genus < 0:
+        raise ArithmeticError(f"negative genus at n={n}")
+    return CurveInvariants(n, d, int(deg_omega), int(cusps), int(genus), True)
+
+
+def test_curve_invariants_match_fraction_oracle_to_1e4():
+    for n in range(1, 10**4 + 1):
+        inv = curve_invariants(n)
+        assert inv == fraction_invariants(n), n
+        if n > 4:
+            assert all(type(x) is int for x in (inv.deg_omega, inv.cusps, inv.genus)), n
+
+
+@pytest.mark.parametrize("g", [1, 3, 4, 6, 8, 10, 12, 14, 16, 20, 28])
+def test_curve_invariants_refusals_match_fraction_oracle(g, monkeypatch):
+    # With g = dsum_g(5) forced, the remainders and the sign of the genus
+    # formula vary: each value must give the oracle's result or message.
+    monkeypatch.setattr(levels, "dsum_g", lambda n: g)
+    try:
+        expected = fraction_invariants(5)
+    except ArithmeticError as exc:
+        with pytest.raises(ArithmeticError) as got:
+            curve_invariants(5)
+        assert str(got.value) == str(exc)
+    else:
+        assert curve_invariants(5) == expected
+
+
+def test_twist_at_genus_zero_matches_fraction():
+    genus0 = [n for n in range(5, 10**4 + 1) if curve_invariants(n).genus == 0]
+    assert genus0 == [5, 6, 7, 8, 9, 10, 12]
+    for n in genus0:
+        q = Fraction(-2, curve_invariants(n).deg_omega)
+        assert twist(n) == (q.numerator if q.denominator == 1 else None), n
 
 
 def test_stacky_levels():
