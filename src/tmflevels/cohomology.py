@@ -208,9 +208,9 @@ def hilbert_series(n: int, table: S1Table | None = None):
     """
     if n <= 4:
         return HilbertSeries((1,), STACKY_WEIGHTS[n])
-    rt = rank_table(n, (-2, 8), table)
-    if rt.needs_s1:
+    if s1(n, table) is UNKNOWN:  # the window below holds weight 1
         return UNKNOWN
+    rt = rank_table(n, (-2, 8), table)
     dims = {k: rt.h0[k] for k in range(-2, 9)}
     num = [dims[k] - 2 * dims[k - 1] + dims[k - 2] for k in range(0, 9)]
     for k in range(4, 9):

@@ -107,14 +107,26 @@ def torsion_condition(n: int, l: int, user_data: dict | None = None) -> Torsion:
 
 def _divide(numerator: list[int], den_exponents: tuple[int, ...],
             mul_exponents: tuple[int, int], n: int, base: Base):
-    """num * prod(1-t^{e_mul}) / prod(1-t^{e_den}) as a ShiftPolynomial."""
+    """num * prod(1-t^{e_mul}) / prod(1-t^{e_den}) as a ShiftPolynomial.
+
+    Multiplying by 1 - t^e is a difference of stride e, taken from the top
+    down; dividing by it is a running sum of stride e, which is the power
+    series p / (1 - t^e).  That series is a polynomial, and the division
+    exact, if and only if its last e terms vanish: from there on every term
+    repeats one e places below it.
+    """
     p = list(numerator)
     for e in mul_exponents:
-        p = _poly.mul(p, _poly.one_minus_t_pow(e))
+        p += [0] * e
+        for i in range(len(p) - 1, e - 1, -1):
+            p[i] -= p[i - e]
     for e in den_exponents:
-        p, rem = _poly.divmod_exact(p, _poly.one_minus_t_pow(e))
-        if rem:
+        for i in range(e, len(p)):
+            p[i] += p[i - e]
+        cut = max(len(p) - e, 0)
+        if any(p[cut:]):
             return NoSplitting(n, base, "nonzero remainder in Hilbert division")
+        del p[cut:]
     if any(c < 0 for c in p):
         return NoSplitting(n, base, "negative multiplicity in Hilbert quotient")
     return ShiftPolynomial(base, {j: c for j, c in enumerate(p) if c})
@@ -176,13 +188,6 @@ def rational_multiplicities(n: int, table: S1Table | None = None):
     if _poly.trim(mirrored) != _poly.trim(coeffs):
         raise ArithmeticError(f"duality symmetry l_({deg}-j) = l_j fails at n={n}")
     return RationalSplit(q, Symmetry.SYMMETRIC, i)
-
-
-def rho_decorate(q: ShiftPolynomial) -> dict[int, int]:
-    """Regular-representation shifts {k*rho: multiplicity} of a 2-local splitting."""
-    if q.base is not Base.L2:
-        raise ValueError("rho decoration applies to the 2-local base only")
-    return dict(sorted(q.coeffs.items()))
 
 
 def profile_mod(q: ShiftPolynomial, m: int) -> tuple[list[int], bool]:

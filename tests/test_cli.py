@@ -436,6 +436,9 @@ EXTREME_ARGV = {
     ),
     "hfpss-c-equals-d-both": (["hfpss", "--ring", "height1-laurent", "--window", "434", "434", "0"], 0),
     "split-huge-prime": (["equivariant", "--group", "5", "--prime", "1000000000000000003"], 1),
+    # 64 divisors, the most of any order within the bound (as 9240 has), each
+    # split in turn
+    "split-most-divisors": (["equivariant", "--group", "7560", "--prime", "11"], 0),
     # one sum per residue: the largest modulus, and the next one
     "split-mod-at-the-bound": (["split", "--n", "5", "--prime", "2", "--mod", "1000000"], 0),
     "split-mod-over": (["split", "--n", "5", "--prime", "2", "--mod", "1000001"], 1),

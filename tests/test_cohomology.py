@@ -134,6 +134,19 @@ def test_hilbert_numerator_guard(monkeypatch):
         coh.hilbert_series(7)
 
 
+def test_hilbert_unknown_s1_builds_no_rank_table(monkeypatch):
+    # an unknown s1 answers before any rank is computed
+    import tmflevels.cohomology as coh
+    from tmflevels.splitting import Base, shift_polynomial
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rank_table called")
+
+    monkeypatch.setattr(coh, "rank_table", refuse)
+    assert coh.hilbert_series(25) is UNKNOWN
+    assert shift_polynomial(30, Base.RATIONAL) is UNKNOWN
+
+
 def test_serre_trichotomy():
     # for k >= 2 the dual degree 2g-2-k*deg is strictly negative
     for n in range(5, 201):

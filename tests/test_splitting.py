@@ -1,14 +1,19 @@
-"""Shift polynomials, torsion verdicts, rho decoration, mod profiles."""
+"""Shift polynomials, torsion verdicts, mod profiles."""
+
+import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from tmflevels._poly import divmod_exact, mul, one_minus_t_pow, series_of_quotient, trim
-from tmflevels.cohomology import UNKNOWN, hilbert_series
+from tmflevels._poly import series_of_quotient, trim
+from tmflevels.cohomology import UNKNOWN, S1Table, builtin_s1_table, hilbert_series, load_s1_table
 from tmflevels.levels import curve_invariants, euler_phi
 from tmflevels.splitting import (
     Base,
     NoSplitting,
     RationalSplit,
+    ShiftPolynomial,
     Symmetry,
     Torsion,
     _divide,
@@ -16,10 +21,71 @@ from tmflevels.splitting import (
     c2_descent_applicable,
     profile_mod,
     rational_multiplicities,
-    rho_decorate,
     shift_polynomial,
     torsion_condition,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+# Generic polynomial long division, the oracle for the strided sums of
+# ``_divide``.  Polynomials are trimmed lists of int coefficients.
+
+def mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return trim(out)
+
+
+def one_minus_t_pow(e):
+    """The polynomial 1 - t^e."""
+    if e < 1:
+        raise ValueError("exponent must be >= 1")
+    p = [0] * (e + 1)
+    p[0] = 1
+    p[e] = -1
+    return p
+
+
+def divmod_exact(num, den):
+    """Long division over Z; requires the leading coefficient of den to be a unit."""
+    num = trim(num)
+    den = trim(den)
+    if not den:
+        raise ZeroDivisionError("division by zero polynomial")
+    lead = den[-1]
+    if lead not in (1, -1):
+        raise ValueError("denominator leading coefficient must be a unit")
+    rem = num[:]
+    quo = [0] * max(0, len(num) - len(den) + 1)
+    while len(rem) >= len(den):
+        shift = len(rem) - len(den)
+        coeff = rem[-1] // lead
+        quo[shift] = coeff
+        for i, c in enumerate(den):
+            rem[shift + i] -= coeff * c
+        rem = trim(rem)
+    return trim(quo), trim(rem)
+
+
+def divide_oracle(numerator, den_exponents, mul_exponents, n, base):
+    """``_divide`` by multiplication and long division, factor by factor."""
+    p = list(numerator)
+    for e in mul_exponents:
+        p = mul(p, one_minus_t_pow(e))
+    for e in den_exponents:
+        p, rem = divmod_exact(p, one_minus_t_pow(e))
+        if rem:
+            return NoSplitting(n, base, "nonzero remainder in Hilbert division")
+    if any(c < 0 for c in p):
+        return NoSplitting(n, base, "negative multiplicity in Hilbert quotient")
+    return ShiftPolynomial(base, {j: c for j, c in enumerate(p) if c})
 
 
 def series_division_oracle(n, exponents, order=50):
@@ -168,10 +234,73 @@ def test_rational_symmetry_for_self_dual_levels():
 
 
 def test_no_splitting_report():
-    bad = _divide([1, -4], (1, 1), Base.L2.exponents, 99, Base.L2)
-    assert isinstance(bad, NoSplitting)
-    bad2 = _divide([1], (5, 7), Base.L2.exponents, 99, Base.L2)
-    assert isinstance(bad2, NoSplitting)
+    # no Hilbert series from the command line reaches the remainder reason
+    remainder = "nonzero remainder in Hilbert division"
+    negative = "negative multiplicity in Hilbert quotient"
+    for args, reason in (
+        (([1], (2,), (1, 3)), remainder),
+        (([1], (5, 7), (1, 3)), remainder),
+        (([1, -3], (1, 1), (1, 3)), negative),
+        (([1, -4], (1, 1), (1, 3)), negative),
+    ):
+        expected = NoSplitting(99, Base.L2, reason)
+        assert _divide(*args, 99, Base.L2) == divide_oracle(*args, 99, Base.L2) == expected
+
+
+def test_divide_matches_long_division_on_random_polynomials():
+    rng = random.Random(20181)
+    outcomes = Counter()
+    for _ in range(3000):
+        den = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 3)))
+        mults = (rng.randint(1, 6), rng.randint(1, 6))
+        num = [rng.randint(-4, 6) for _ in range(rng.randint(0, 9))]
+        if rng.random() < 0.5:  # a multiple of the denominator, so it divides
+            for e in den:
+                num = mul(num, one_minus_t_pow(e))
+        got = _divide(num, den, mults, 7, Base.L3)
+        assert got == divide_oracle(num, den, mults, 7, Base.L3), (num, den, mults)
+        outcomes[got.reason if isinstance(got, NoSplitting) else "split"] += 1
+    assert len(outcomes) == 3 and min(outcomes.values()) > 300, outcomes
+
+
+@pytest.mark.parametrize("table, seen", [
+    (None, {"split", "unknown"}),
+    ("s1_no_splitting.csv", {"split", "unknown", "no-splitting"}),
+    ("s1_extra.csv", {"split", "unknown"}),
+    ("every-level", {"split", "no-splitting"}),
+])
+def test_divide_matches_long_division_on_every_level(table, seen):
+    # every n <= 300 on every tame base; "every-level" gives each level the
+    # builtin table lacks an s1 of 0 to 3 times its genus, so each one
+    # divides, some into negative multiplicities
+    if table == "every-level":
+        table = S1Table({n: n % 4 * curve_invariants(n).genus for n in range(5, 301)}
+                        | builtin_s1_table().values)
+    elif table is not None:
+        table = load_s1_table(GOLDEN / table)
+    outcomes = set()
+    for n in range(2, 301):
+        h = hilbert_series(n, table)
+        for base in Base:
+            if base is Base.L2 and n % 2 == 0:
+                continue
+            if base is Base.L3 and n % 3 == 0:
+                continue
+            q = shift_polynomial(n, base, table)
+            if h is UNKNOWN:
+                assert q is UNKNOWN
+                outcomes.add("unknown")
+                continue
+            expected = divide_oracle(list(h.numerator), h.denominator_exponents,
+                                     base.exponents, n, base)
+            assert q == expected, (n, base)
+            outcomes.add("no-splitting" if isinstance(q, NoSplitting) else "split")
+            if base is Base.RATIONAL:
+                r = rational_multiplicities(n, table)
+                assert (r if isinstance(r, NoSplitting) else r.poly) == expected, n
+        if h is UNKNOWN:
+            assert rational_multiplicities(n, table) is UNKNOWN
+    assert outcomes == seen
 
 
 def test_torsion_condition():
@@ -184,14 +313,6 @@ def test_torsion_condition():
         torsion_condition(10, 2)
     with pytest.raises(ValueError):
         torsion_condition(5, 4)
-
-
-def test_rho_decorate():
-    assert rho_decorate(shift_polynomial(5, Base.L2)) == {0: 1, 1: 1, 2: 1}
-    assert rho_decorate(shift_polynomial(7, Base.L2)) == {0: 1, 1: 2, 2: 2, 3: 1}
-    assert rho_decorate(shift_polynomial(3, Base.L2)) == {0: 1}
-    with pytest.raises(ValueError):
-        rho_decorate(shift_polynomial(5, Base.L3))
 
 
 def test_profile_mod():
