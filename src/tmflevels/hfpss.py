@@ -94,8 +94,8 @@ from __future__ import annotations
 import io
 import json
 from functools import cached_property
-from itertools import compress, count, cycle, repeat
-from operator import concat, floordiv, mod, sub
+from itertools import compress, count, repeat
+from operator import mod, sub
 from typing import NamedTuple
 
 from . import _poly
@@ -253,22 +253,9 @@ class EinftyChart(_ChartFields):
     """An E_infty chart on a window.  ``records`` is its strategy's readout,
     which both writers read (see the module docstring), and is left out of
     ``repr``.  ``entries``, (c, d) -> tuple of (filtration, group,
-    multiplicity), is built from the records on first use, or given outright
-    for a hand-made chart, which then has no records, and the writers write
-    its entries."""
+    multiplicity), is built from the records on first use."""
 
     __setattr__ = __delattr__ = _immutable
-
-    def __new__(cls, ring, window, bound, collapse_page, pages_fired, entries=None, records=()):
-        self = super().__new__(cls, ring, window, bound, collapse_page, pages_fired, records)
-        if entries is not None:
-            self.__dict__["entries"] = entries
-        return self
-
-    @classmethod
-    def _make(cls, fields):  # what _replace calls: records by keyword
-        *head, records = fields
-        return cls(*head, records=records)
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields[:-1], self))
@@ -342,7 +329,7 @@ def _diagonals(records, f: int):
     slot's counts are each layer's full count, and at s = 0 then its
     index-two count.  Below f = 4 no two layers share a diagonal, so none is
     grouped."""
-    if f < 4:
+    if f < 4:  # grouping a 999999 0 0 window too: 1.35x its time and peak RSS (2 CPUs)
         for s, m, c_lo, fulls, halves in records:
             yield ((s,), c_lo, s + 4 * m, len(fulls),
                    zip(fulls) if halves is None else zip(fulls, halves))
@@ -400,22 +387,6 @@ def _degrees(records, window: Window, cell) -> list:
             grid[i] = memo[next(slots)]
         else:
             grid[i:i + n * (rows + 1):rows + 1] = map(memo.__getitem__, slots)
-    return grid
-
-
-def _chart_grid(chart: EinftyChart, cell, text) -> list:
-    """``_degrees`` of the chart's records, or, for a chart without records,
-    such as a hand-made one, the same grid filled from its entries, each
-    degree's text made by ``text`` from its classes."""
-    w = chart.window
-    if chart.records:
-        return _degrees(chart.records, w, cell)
-    rows = 2 * w.d + 1
-    grid = [None] * ((2 * w.c + 1) * rows)
-    for (c, d), classes in chart.entries.items():
-        if not w.contains(c, d):
-            raise ValueError(f"degree ({c},{d}) outside the computed window")
-        grid[(c + w.c) * rows + d + w.d] = text(tuple(classes)) if classes else None
     return grid
 
 
@@ -899,17 +870,12 @@ def chart_to_dict(chart: EinftyChart) -> dict:
     }
 
 
-_GROUPS = (GROUP_Z, GROUP_Z_DIV2, GROUP_Z2)  # the columns of an ascii cell
-_GROUP_JSON = {g: json.dumps(g) for g in _GROUPS}
-
-
-def _json_classes(classes: tuple) -> str:
-    return ", ".join([f"[{s}, {_GROUP_JSON[g]}, {n}]" for s, g, n in classes])
+_GROUP_JSON = {g: json.dumps(g) for g in (GROUP_Z, GROUP_Z_DIV2, GROUP_Z2)}
 
 
 def _json_cell(sig: tuple):
-    """``_json_classes`` of a slot, from its counts: each label's text,
-    ``[s, "group", ``, is made once per signature."""
+    """A slot's classes as the text of a JSON list's items, from its counts:
+    each label's text, ``[s, "group", ``, is made once per signature."""
     heads = [f"[{s}, {_GROUP_JSON[g]}, " for s, g in _labels(sig)]
     return lambda counts: ", ".join([f"{head}{n}]" for head, n in zip(heads, counts) if n])
 
@@ -917,20 +883,18 @@ def _json_cell(sig: tuple):
 def render_json(chart: EinftyChart, version: int) -> str:
     """``json.dumps({**chart_to_dict(chart), "version": version},
     sort_keys=True)`` and a newline, written straight from the chart's grid
-    (``_chart_grid``), which formats each distinct list of classes once.
+    (``_degrees``), which formats each distinct list of classes once.
     An entry is the head of its column c, its text and the tail of its row
     d, found from its place.  Heads and tails are formatted once per column
     and row when the grid holds more classes' texts than that; in a flat
     window, which holds fewer, each entry is formatted whole instead."""
     w, rows = chart.window, 2 * chart.window.d + 1
-    grid = _chart_grid(chart, _json_cell, _json_classes)
+    grid = _degrees(chart.records, w, _json_cell)
     if len(grid) - grid.count(None) > 2 * w.c + 1 + rows:
         heads = [f'{{"c": {c}, "classes": [' for c in range(-w.c, w.c + 1)]
         tails = [f'], "d": {d}}}' for d in range(-w.d, w.d + 1)]
-        cols = map(floordiv, compress(range(len(grid)), grid), repeat(rows))
-        parts = map(concat, map(concat, map(heads.__getitem__, cols), filter(None, grid)),
-                    compress(cycle(tails), grid))
-    else:
+        parts = (f"{heads[i // rows]}{text}{tails[i % rows]}" for i, text in _held_cells(grid))
+    else:  # heads and tails on a 999999 0 0 window: 1.35x its time, 2.3x its peak RSS
         parts = [f'{{"c": {i // rows - w.c}, "classes": [{text}], "d": {i % rows - w.d}}}'
                  for i, text in _held_cells(grid)]
         del grid  # not held through the join
@@ -942,7 +906,7 @@ def render_json(chart: EinftyChart, version: int) -> str:
 def render_ascii(chart: EinftyChart) -> str:
     """Rows are d descending, columns c ascending; cells count classes as
     lattice/index-two/F2 triples, written from the chart's grid
-    (``_chart_grid``), which formats each distinct list of classes once.
+    (``_degrees``), which formats each distinct list of classes once.
     Columns are 9 wide, or one more than the longest cell, so cells never
     touch.  Row d is every (2D + 1)-th place of the grid from d + D; only
     the rows that hold a class are filled cell by cell."""
@@ -957,13 +921,7 @@ def render_ascii(chart: EinftyChart) -> str:
             return lambda counts: triple(0, 0, sum(counts))
         return lambda counts: triple(counts[0], counts[1], sum(counts[2:]))
 
-    def summed(classes):
-        counts = dict.fromkeys(_GROUPS, 0)
-        for _, g, n in classes:
-            counts[g] += n
-        return triple(*counts.values())
-
-    grid, rows = _chart_grid(chart, cell, summed), 2 * w.d + 1
+    grid, rows = _degrees(chart.records, w, cell), 2 * w.d + 1
     width = max([9] + [len(text) + 1 for text in texts])
     empty = ".".center(width)
     cells = {text: text.center(width) for text in texts}

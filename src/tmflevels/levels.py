@@ -1,9 +1,9 @@
 """Arithmetic of levels and congruence subgroups.
 
 Degree, cusp and genus invariants of the modular curves X_1(n), the
-multiplicative divisor sums behind them, tameness and squarefreeness
-predicates, and the weighted-projective data replacing the curve invariants
-for n <= 4.  All arithmetic is exact (int).
+multiplicative divisor sums behind them, the tameness predicate, and the
+weighted-projective data replacing the curve invariants for n <= 4.  All
+arithmetic is exact (int).
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ def euler_phi(n: int) -> int:
 
 def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == ((n, 1),)
-
-
-def is_squarefree(n: int) -> bool:
-    """Whether the coarse level-n quotient construction agrees with the stack quotient."""
-    return all(e == 1 for _, e in factorize(n))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 from itertools import repeat
 from pathlib import Path
 
@@ -443,11 +444,11 @@ def test_strongly_even():
     assert is_strongly_even(c2, (-4, 4))
 
 
-DOCTORED = (  # hand-made charts: entries given, no records
+DOCTORED = (  # hand-made charts: records (s, m, c_lo, fulls, halves)
     EinftyChart("doctored", Window(4, 4, 4), 8, 4, (),
-                {(0, 1): ((1, GROUP_Z2, 1),)}),  # a class at rho - 1
+                [(3, -1, 0, (1,), None)]),  # a class at rho - 1, filtration 3
     EinftyChart("doctored", Window(4, 4, 4), 8, 4, (),
-                {(1, 1): ((0, GROUP_Z_DIV2, 1),)}),  # index-two lattice at rho
+                [(0, 0, 1, (0,), (1,))]),  # index-two lattice at rho
 )
 
 
@@ -553,7 +554,7 @@ def test_v_chain_check_sees_a_differential_past_the_chain(monkeypatch):
     def fires_page_15(*args):  # a page past the chain of H2P, whose last is 7
         chart = compute(*args)
         return EinftyChart(chart.ring, chart.window, chart.bound, chart.collapse_page,
-                           (*chart.pages_fired, 15), chart.entries)
+                           (*chart.pages_fired, 15), chart.records)
 
     monkeypatch.setattr(hfpss, "compute_einfty", fires_page_15)
     assert v_chain_check(H2P).rule_vanishes_past_chain is False
@@ -1135,6 +1136,23 @@ def test_render_json_is_json_dumps_of_chart_to_dict():
     for chart in (*writer_charts(), *DOCTORED):
         expected = json.dumps({**chart_to_dict(chart), "version": 1}, sort_keys=True) + "\n"
         assert render_json(chart, 1) == expected, (chart.ring, chart.window)
+
+
+def test_render_json_of_a_flat_window_peaks_under_five_times_its_output():
+    """A flat window, 40,001 degrees in one row or column, each entry
+    formatted whole from ungrouped diagonals, peaks at about 4.1 times the
+    length of its JSON in traced memory (this process's allocations only);
+    writing heads and tails, or grouping diagonals, takes it past 5."""
+    for window in (Window(20000, 0, 0), Window(0, 20000, 0)):
+        chart = compute_einfty(CUSTOM, window, STRATEGY_CLOSED)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            text = render_json(chart, 1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * len(text), (window, peak, len(text))
 
 
 def test_render_ascii_cells_sum_the_classes_by_group():

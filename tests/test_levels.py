@@ -17,7 +17,6 @@ from tmflevels.levels import (
     dsum_f,
     dsum_g,
     euler_phi,
-    is_squarefree,
     is_tame,
     stacky_data,
 )
@@ -196,10 +195,3 @@ def test_level_spec_validation():
     # the residues are reduced mod n and sorted before the record is built
     assert LevelSpec(7, Kind.INTERMEDIATE, (9, 1, 4)).subgroup == (1, 2, 4)
     assert LevelSpec(n=7, kind=Kind.GAMMA0) == (7, Kind.GAMMA0, None)
-
-
-def test_is_squarefree():
-    assert is_squarefree(6)
-    assert not is_squarefree(12)
-    assert is_squarefree(23)
-    assert is_squarefree(1)

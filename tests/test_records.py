@@ -68,7 +68,7 @@ RECORDS = [
      "invertible=False), Generator(sym='a3', weight=3, invertible=True)), v=('a1', 'a3'), "
      "termination='invertible')"),
     (lambda: Window(1, 2, 3), "Window(c=1, d=2, f=3)"),
-    (lambda: EinftyChart("x", Window(1, 1, 0), 8, 4, (), {(0, 0): ((0, "Z", 1),)}),
+    (lambda: EinftyChart("x", Window(1, 1, 0), 8, 4, (), [(0, 0, 0, (1,), (0,))]),
      "EinftyChart(ring='x', window=Window(c=1, d=1, f=0), bound=8, collapse_page=4, "
      "pages_fired=())"),
     (lambda: compute_einfty(H2L, Window(2, 2, 2), STRATEGY_CLOSED),
@@ -111,9 +111,10 @@ def test_chart_repr_leaves_out_the_records_that_equality_compares():
     with pytest.raises(AttributeError):
         del chart.ring
     assert chart._replace(bound=9) == (*chart[:2], 9, *chart[3:])
-    # a hand-made chart keeps its entries outside the tuple
-    made = EinftyChart("x", Window(1, 1, 0), 8, 4, (), {(0, 0): ((0, "Z", 1),)})
-    assert made.at(0, 0) == ((0, "Z", 1),) and made.records == ()
+    # a hand-made chart is built from records, its entries kept outside the tuple
+    made = EinftyChart("x", Window(1, 1, 0), 8, 4, (), [(0, 0, 0, (1,), (0,))])
+    assert made.at(0, 0) == ((0, "Z", 1),) and made.entries is made.entries
+    assert made == ("x", Window(1, 1, 0), 8, 4, (), [(0, 0, 0, (1,), (0,))])
 
 
 def test_empty_s1_tables_share_no_dict():
