@@ -17,6 +17,14 @@ A request loads only the modules its subcommand uses: ``charts``,
 lazily (``_lazy``) and run when a request first reads one of their
 attributes, so ``invariants`` runs none of them and ``duality`` only
 ``duality``.
+
+A request builds a parser whose subcommands all have their subparsers (the
+usage line, ``--help`` and the "invalid choice" message need each name and
+help text) but only the requested one gets its arguments, from ``COMMANDS``:
+the first token not starting with "-" names it.  No parser is kept from one
+request to the next.  A cached parser would make a request several times
+faster, and the benchmark's worker keeps one latency per request in a list,
+so its peak RSS would then grow past its bound (ROADMAP items 2 and 9).
 """
 
 from __future__ import annotations
@@ -168,7 +176,13 @@ def _cmd_hfpss(args):
         "fast": hfpss.STRATEGY_CLOSED,
         "reference": hfpss.STRATEGY_PAGES,
     }[args.strategy]
-    chart = hfpss.compute_einfty(spec, hfpss.Window(*args.window), strategy)
+    window = hfpss.Window(*args.window)
+    cells = (2 * window.c + 1) * (2 * window.d + 1)  # ascii writes every cell, held or not
+    if args.format == "ascii" and cells > hfpss.MAX_WORK:
+        raise ValueError(
+            f"hfpss ascii grid too large: {cells} cells to write, budget {hfpss.MAX_WORK}"
+        )
+    chart = hfpss.compute_einfty(spec, window, strategy)
     if args.format == "ascii":
         return hfpss.render_ascii(chart)
     return hfpss.render_json(chart, VERSION)
@@ -215,56 +229,84 @@ def _cmd_equivariant(args):
     return payload
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tmflevels",
-        description="Exact invariants, charts, splittings and duality data "
-        "for topological modular forms with level structure.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("invariants", help="degree/cusp/genus data for a level")
+def _invariants_arguments(p):
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_invariants)
 
-    p = sub.add_parser("chart", help="descent spectral sequence rank chart")
+
+def _chart_arguments(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--range", type=_parse_range, required=True, metavar="A..B")
     p.add_argument("--format", choices=["json", "ascii", "svg"], default="json")
     p.add_argument("--s1-file")
-    p.set_defaults(func=_cmd_chart)
 
-    p = sub.add_parser("split", help="module splitting shift multiset")
+
+def _split_arguments(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--prime", type=int, choices=[2, 3, 0], required=True)
     p.add_argument("--rho", action="store_true", help="decorate with rho-shifts (2-local)")
     p.add_argument("--mod", type=int, help="profile multiplicities modulo M")
     p.add_argument("--s1-file")
-    p.set_defaults(func=_cmd_split)
 
-    p = sub.add_parser("duality", help="Anderson self-duality verdicts")
+
+def _duality_arguments(p):
     p.add_argument("--n", type=int)
     p.add_argument("--scan", type=int)
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility and ignored")
     p.add_argument("--s1-file")
-    p.set_defaults(func=_cmd_duality)
 
-    p = sub.add_parser("hfpss", help="RO(C2) fixed point spectral sequence chart")
+
+def _hfpss_arguments(p):
     p.add_argument("--ring", required=True, help="preset name or ring spec JSON file")
     p.add_argument("--window", type=int, nargs=3, required=True, metavar=("C", "D", "F"))
     p.add_argument("--strategy", choices=["both", "fast", "reference"], default="both")
     p.add_argument("--format", choices=["json", "ascii"], default="json")
-    p.set_defaults(func=_cmd_hfpss)
 
-    p = sub.add_parser("equivariant", help="components of equivariant fixed points")
+
+def _equivariant_arguments(p):
     p.add_argument("--group", required=True, help="cyclic orders, e.g. 2,2 or 6")
     p.add_argument("--prime", type=int)
     p.add_argument("--s1-file")
-    p.set_defaults(func=_cmd_equivariant)
 
+
+# name: (help, add_arguments, handler), in the order of the usage line
+COMMANDS = {
+    "invariants": ("degree/cusp/genus data for a level",
+                   _invariants_arguments, _cmd_invariants),
+    "chart": ("descent spectral sequence rank chart", _chart_arguments, _cmd_chart),
+    "split": ("module splitting shift multiset", _split_arguments, _cmd_split),
+    "duality": ("Anderson self-duality verdicts", _duality_arguments, _cmd_duality),
+    "hfpss": ("RO(C2) fixed point spectral sequence chart", _hfpss_arguments, _cmd_hfpss),
+    "equivariant": ("components of equivariant fixed points",
+                    _equivariant_arguments, _cmd_equivariant),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the arguments of ``command``
+    only, or of all of them when ``command`` is None."""
+    parser = argparse.ArgumentParser(
+        prog="tmflevels",
+        description="Exact invariants, charts, splittings and duality data "
+        "for topological modular forms with level structure.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_arguments, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command is None or command == name:
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
+
+
+def _parse(argv):
+    """``argv`` parsed with the arguments of its own subcommand only: the
+    top-level parser has no option that takes a value, so the first token
+    not starting with "-" is the subcommand, or argparse refuses the
+    request before any subparser reads it."""
+    command = next((tok for tok in argv if not tok.startswith("-")), None)
+    return build_parser(command).parse_args(argv)
 
 
 def _normalize_argv(argv):
@@ -281,7 +323,7 @@ def _normalize_argv(argv):
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    args = build_parser().parse_args(_normalize_argv(sys.argv[1:] if argv is None else argv))
+    args = _parse(_normalize_argv(sys.argv[1:] if argv is None else argv))
     try:
         result = args.func(args)
         if isinstance(result, dict):

@@ -1,6 +1,8 @@
 """Command line behavior: formats, determinism, exactness, exit codes."""
 
+import argparse
 import ast
+import contextlib
 import io
 import json
 import os
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import tmflevels
+from tmflevels import cli
 from tmflevels.cli import main
 
 
@@ -428,6 +431,20 @@ EXTREME_ARGV = {
     "hfpss-reference-flat-c-over": (
         ["hfpss", "--ring", CUSTOM_RING, "--window", "399000", "0", "0", "--strategy", "reference"], 1,
     ),
+    # ascii writes (2C + 1)(2D + 1) cells however few of them hold a class:
+    # refused past the budget before any work, answered at it
+    "hfpss-ascii-flat-d-over": (
+        ["hfpss", "--ring", CUSTOM_RING, "--window", "0", "999999", "0", "--strategy", "fast",
+         "--format", "ascii"], 1,
+    ),
+    "hfpss-ascii-flat-c-over": (
+        ["hfpss", "--ring", CUSTOM_RING, "--window", "999999", "0", "0", "--strategy", "fast",
+         "--format", "ascii"], 1,
+    ),
+    "hfpss-ascii-flat-d-at-the-budget": (
+        ["hfpss", "--ring", CUSTOM_RING, "--window", "0", "499999", "0", "--strategy", "fast",
+         "--format", "ascii"], 0,
+    ),
     # the largest accepted c = d windows, whose time goes to reading out and
     # writing some 10 MB
     "hfpss-c-equals-d-reference": (
@@ -494,3 +511,59 @@ def test_exactness_no_float_arithmetic_in_source():
             ):
                 hits.append(f"{path.name}:{node.lineno}")
     assert hits == []
+
+
+# The whole parser, ``build_parser()``, is the oracle for the one a request
+# builds, which gives arguments to the requested subcommand only.
+GOLDEN_ARGV = [case["argv"] for case in json.loads(
+    (Path(__file__).parent / "golden" / "cases.json").read_text("utf-8"))]
+USAGE_ARGV = [
+    [], ["frobnicate"], [""], ["-h", "chart"], ["--", "invariants", "--n", "5"],
+    ["--n", "5", "chart"], ["--frobnicate", "invariants", "--n", "5"],
+    ["invariants", "--n", "5", "--frobnicate"], ["chart", "--n", "5"],
+    ["chart", "--n", "5", "--range", "banana"], ["duality", "--format", "xml"],
+    ["hfpss", "--ring", "x", "--window", "1", "2"], ["split", "--n", "5", "--prime", "5"],
+] + [[name, "-h"] for name in cli.COMMANDS]
+
+
+def parsed(parse, argv):
+    """The namespace ``parse`` makes of ``argv``, or the exit code, stdout
+    and stderr of its usage error or help."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argvs", [GOLDEN_ARGV, USAGE_ARGV], ids=["golden", "usage"])
+def test_request_parser_parses_like_the_whole_parser(argvs, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in map(cli._normalize_argv, argvs):
+        assert parsed(cli._parse, argv) == parsed(cli.build_parser().parse_args, argv), argv
+
+
+def subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def arguments(parser):
+    return parser._defaults, [
+        (a.option_strings, a.dest, a.nargs, a.const, a.default, a.type, a.choices,
+         a.required, a.help, a.metavar)
+        for a in parser._actions
+    ]
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_request_parser_gives_arguments_to_its_subcommand_only(command):
+    whole, built = subparsers(cli.build_parser()), subparsers(cli.build_parser(command))
+    assert list(built) == list(whole) == list(cli.COMMANDS)
+    for name, sub in built.items():
+        if name == command:
+            assert arguments(sub) == arguments(whole[name])
+        else:
+            assert sub._defaults == {}
+            assert [a.option_strings for a in sub._actions] == [["-h", "--help"]]

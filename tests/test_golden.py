@@ -3,7 +3,9 @@
 ``tests/golden/cases.json`` holds fixed invocations with the stdout, stderr
 and exit code they produced when recorded.  Each case is replayed through
 ``cli.main`` from inside ``tests/golden`` (so fixture paths, and the paths in
-error messages, are relative) and must match byte for byte.  A ``null``
+error messages, are relative) and must match byte for byte; a usage error
+is argparse's ``SystemExit``, replayed as its exit code 2, and its cases set
+``COLUMNS`` so that the usage lines wrap the same everywhere.  A ``null``
 stderr is not compared: the builtin-override warning prints a source line
 number.  Warnings are recorded during the replay, and a case must raise
 exactly those of ``WARNINGS``.  The corpus is not a snapshot to refresh:
@@ -35,7 +37,10 @@ def replay(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = cli.main(list(argv), out)
+        try:
+            code = cli.main(list(argv), out)
+        except SystemExit as exc:  # a usage error, exit 2, reported by argparse
+            code = exc.code
     return out.getvalue(), err.getvalue(), code, caught
 
 
@@ -66,7 +71,7 @@ def test_corpus_covers_every_subcommand_and_choice():
         for action in sub._actions:
             for value in action.choices or ():
                 wanted.add((name, action.dest, value))
-    parsed = [parser.parse_args(cli._normalize_argv(c["argv"])) for c in CASES]
+    parsed = [parser.parse_args(cli._normalize_argv(c["argv"])) for c in CASES if c["exit"] != 2]
     missing = {
         (name, dest, value) for name, dest, value in wanted
         if not any(a.command == name and getattr(a, dest) == value for a in parsed)
