@@ -138,8 +138,8 @@ def chart_to_dict(chart: Chart) -> dict:
     }
 
 
-def _render_json(chart: Chart) -> bytes:
-    return (json.dumps(chart_to_dict(chart), sort_keys=True) + "\n").encode("utf-8")
+def _render_json(chart: Chart) -> str:
+    return json.dumps(chart_to_dict(chart), sort_keys=True) + "\n"
 
 
 def _cell(entry: ChartEntry | None) -> str:
@@ -151,10 +151,10 @@ def _cell(entry: ChartEntry | None) -> str:
     return box
 
 
-def _render_ascii(chart: Chart) -> bytes:
+def _render_ascii(chart: Chart) -> str:
     lo, hi = chart.range
     if lo > hi:
-        return b""
+        return ""
     stems = list(range(lo, hi + 1))
     cells = {(e.stem, e.filtration): _cell(e) for e in chart.entries}
     width = max([len(str(s)) for s in stems] + [len(c) for c in cells.values()] + [1]) + 1
@@ -164,14 +164,14 @@ def _render_ascii(chart: Chart) -> bytes:
         lines.append((f"{q} |" + row).rstrip())
     lines.append("  +" + "-" * (width * len(stems)))
     lines.append("   " + "".join(str(s).rjust(width) for s in stems))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return "\n".join(lines) + "\n"
 
 
 # Fixed SVG layout; JSON/ASCII are the byte-exact formats, SVG is structural.
 SVG_LAYOUT = {"cell": 36, "margin": 40, "font": 12, "font_family": "monospace"}
 
 
-def _render_svg(chart: Chart) -> bytes:
+def _render_svg(chart: Chart) -> str:
     lo, hi = chart.range
     cell = SVG_LAYOUT["cell"]
     margin = SVG_LAYOUT["margin"]
@@ -207,11 +207,12 @@ def _render_svg(chart: Chart) -> bytes:
             f"{stem}</text>"
         )
     parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+    return "\n".join(parts) + "\n"
 
 
-def render(chart: Chart, format: str = "json") -> bytes:
-    """Deterministic byte rendering of a chart in json, ascii or svg."""
+def render(chart: Chart, format: str = "json") -> str:
+    """Deterministic rendering of a chart in json, ascii or svg; all three
+    are ASCII text."""
     if format == "json":
         return _render_json(chart)
     if format == "ascii":

@@ -3,8 +3,8 @@
 Subcommands: invariants, chart, split, duality, hfpss, equivariant.
 Output is JSON by default (human formats are derived views) and is
 byte-deterministic for fixed inputs.  Every JSON payload carries
-``"version"`` except chart JSON, which is ``charts.render``'s bytes as they
-are.  Every number printed is exact; rationals appear as "a/b".  Exit codes:
+``"version"`` except chart JSON, which is ``charts.render``'s text as it
+is.  Every number printed is exact; rationals appear as "a/b".  Exit codes:
 0 success, 1 domain error, 2 usage error.
 
 Each ``_cmd_*(args)`` returns a dict (a JSON payload) or a str (output already
@@ -103,7 +103,7 @@ def _cmd_invariants(args):
 def _cmd_chart(args):
     _check_level(args.n)
     chart = charts.dss_chart(args.n, args.range, _s1_table(args))
-    return charts.render(chart, args.format).decode("utf-8")
+    return charts.render(chart, args.format)
 
 
 def _cmd_split(args):
@@ -171,18 +171,13 @@ def _cmd_hfpss(args):
         spec = hfpss.load_ringspec(name)
     else:
         raise ValueError(f"unknown ring preset or missing file: {name}")
-    strategy = {
-        "both": hfpss.STRATEGY_BOTH,
-        "fast": hfpss.STRATEGY_CLOSED,
-        "reference": hfpss.STRATEGY_PAGES,
-    }[args.strategy]
     window = hfpss.Window(*args.window)
     cells = (2 * window.c + 1) * (2 * window.d + 1)  # ascii writes every cell, held or not
     if args.format == "ascii" and cells > hfpss.MAX_WORK:
         raise ValueError(
             f"hfpss ascii grid too large: {cells} cells to write, budget {hfpss.MAX_WORK}"
         )
-    chart = hfpss.compute_einfty(spec, window, strategy)
+    chart = hfpss.compute_einfty(spec, window, args.strategy)
     if args.format == "ascii":
         return hfpss.render_ascii(chart)
     return hfpss.render_json(chart, VERSION)
@@ -260,7 +255,8 @@ def _duality_arguments(p):
 def _hfpss_arguments(p):
     p.add_argument("--ring", required=True, help="preset name or ring spec JSON file")
     p.add_argument("--window", type=int, nargs=3, required=True, metavar=("C", "D", "F"))
-    p.add_argument("--strategy", choices=["both", "fast", "reference"], default="both")
+    p.add_argument("--strategy", default=hfpss.STRATEGY_BOTH,
+                   choices=[hfpss.STRATEGY_BOTH, hfpss.STRATEGY_CLOSED, hfpss.STRATEGY_PAGES])
     p.add_argument("--format", choices=["json", "ascii"], default="json")
 
 

@@ -15,13 +15,12 @@ Laurent in their invertible generators, so every page is computed by exact
 monomial matching: integral lattices at filtration 0 (with an index-two
 marker when the class supports a differential) and F2 above.
 
-Two strategies are provided and must agree: ``page_by_page`` simulates the
-differentials; ``closed_form`` counts the survivors directly.  The predicate
-sees a monomial only through its v-valuation l: the index of the lowest
-v_(l+1) that divides it (an invertible v divides everything), or the
-effective height h when none does.  Let e = val2(m), or h + 1 when m = 0 or
-val2(m) >= h, and b(s) = min(h, bit_length(s + 1) - 2), so that the page of
-v_j reaches filtration s iff j <= b(s).  Then monomial * a^s * u^m survives iff
+The predicate sees a monomial only through its v-valuation l: the index of
+the lowest v_(l+1) that divides it (an invertible v divides everything), or
+the effective height h when none does.  Let e = val2(m), or h + 1 when m = 0
+or val2(m) >= h, and b(s) = min(h, bit_length(s + 1) - 2), so that the page
+of v_j reaches filtration s iff j <= b(s).  Then monomial * a^s * u^m
+survives iff
 
     b(s) <= l < e:
 
@@ -29,55 +28,16 @@ l < e makes it a permanent cycle and b(s) <= l keeps it off every image.  At
 filtration 0 the survivors are full lattices and the rest index-two
 sublattices.
 
-Both strategies work on the layers of a box: the slots at filtration s and
-u-exponent m have the weights c - 2m of one interval of c, and at each s the
-layers' m form one range (``_m_range``).  ``closed_form`` counts each
-weight's monomials of valuation >= l, the basis of R/(v_1, ..., v_l), as one
-generating function for the deepest quotient, each shallower one derived
-from the next by dividing by 1 - t^|v_l| (``_free_counts``), and tables
-differences of rows up front, once per (e, b) kind.  ``page_by_page`` holds
-its padded region as one row of bitsets per filtration s, indexed by
-m - m_lo(s), a bit per class indexed by a dense exponent code; each layer is
-a difference of per-weight prefix sums, a row of them taken from four
-slices of the sums.  It lists no monomial either: one
-series in t and x = 2^place gives each weight's codes of the v exponents,
-and one more counts the monomials in the other generators within the cap (no
-differential changes their exponents); they take their ranks in one run per
-weight.  Every differential of a page moves a bit by the same place into the
-layer a^r u^(-2^e) away.  Page e's sources are every 2^(e+1)-th layer of a
-row, from its first m = 2^e mod 2^(e+1), and a source's target is in row
-s + r at m - 2^e, so a page is one shift and mask per source layer.
-
-Each strategy reads out only the window's layers that can hold a class,
-decided from its own data, as one record (s, m, c_lo, fulls, halves) per
-layer, s ascending: the full and index-two counts of its slots c = c_lo,
-c_lo + 1, ..., with halves None above s = 0.  ``closed_form`` visits, at
-each s, only the m of the kinds whose table is not zero at some weight:
-2^e (2k + 1) for e < h, and the multiples of 2^h for e = h + 1, whose
-weights meet the kind's span of nonzero weights, and gives slices of the
-kind's tables.  So it touches no layer above a vanishing line, nor one of
-a dead kind, nor one whose weights all lie outside that span.
-``page_by_page`` skips the layers that are
-empty after firing, then those whose live bits (and at s = 0 its index-two
-lattice) miss the capped bits of the layer's weights, one difference of a
-prefix sum; it counts the rest against each weight's capped bits, taken
-once per request.  A skipped layer has no nonzero count, so the chart
-cannot change.  ``both`` compares the records that hold a class.
-
-One walk (``_degrees``) turns records into a grid of the degrees' texts in
-the order of the JSON entries.  Every layer on the diagonal t = c - d =
-s + 4m spans the same c, [max(-C, t - D), min(C, t + D)], so zipping the
-counts of a diagonal's layers gives each degree's, a memo maps the layers'
-filtrations and a degree's counts to its text once, and the diagonal's
-texts go into the grid as one strided slice.  Both writers work from that
-grid, and so does the library's dict of entries, each reading a degree's
-(c, d) from its place; no per-degree dict or tuple is built to write a
-chart.
-
-Before either strategy runs its work is counted in arithmetic, walking no
-layer: slots visited, plus for ``page_by_page`` the 64-bit words of its
-bitsets or the steps of its series, whichever is more, and for
-``closed_form`` the steps of its series.  Above ``MAX_WORK`` it is refused.
+Two strategies must agree: the reference (``STRATEGY_PAGES``,
+``_page_by_page``) fires every page on bitsets of the E2 classes, and the
+fast one (``STRATEGY_CLOSED``, ``_closed_form``) counts the predicate's
+survivors.  Each reads the window out as one record (s, m, c_lo, fulls,
+halves) per layer, the slots of one filtration s and u-exponent m, that can
+hold a class, s ascending: the full and index-two counts of its slots
+c = c_lo, c_lo + 1, ..., with halves None above s = 0.  A layer left out
+holds no class.  ``STRATEGY_BOTH`` runs the two and compares the records
+that hold a class.  Each request's work is first priced in arithmetic
+(``_work``) and refused above ``MAX_WORK``.
 
 Laurent directions make homotopy infinite-rank per degree; the chart caps
 the exponents of invertible generators at a window-derived bound.  Reported
@@ -184,7 +144,7 @@ class RingSpec(_RingFields):
                     f"v_{k} = {g.sym} must have weight {2**k - 1}, got {g.weight}"
                 )
         if self.termination == TERM_INVERTIBLE and h_eff == len(self.v):
-            if not self.generator(self.v[-1]).invertible:
+            if not self.generators[index[self.v[-1]]].invertible:
                 raise ValueError("termination 'invertible' requires an invertible last v")
         return self
 
@@ -196,17 +156,11 @@ class RingSpec(_RingFields):
     def height(self) -> int:
         return len(self.v)
 
-    def generator(self, sym: str) -> Generator:
-        return self.generators[self._index[sym]]
-
-    def gen_index(self, sym: str) -> int:
-        return self._index[sym]
-
     def divides(self, sym: str, exps: tuple[int, ...]) -> bool:
         """Whether the generator divides the monomial; invertible generators
         divide everything."""
-        g = self.generator(sym)
-        return g.invertible or exps[self.gen_index(sym)] >= 1
+        i = self._index[sym]
+        return self.generators[i].invertible or exps[i] >= 1
 
     @property
     def vanishing_line(self) -> int | None:
@@ -296,7 +250,7 @@ def _window_box(window: Window) -> tuple[range, range, range]:
 
 
 def _page_box(spec: RingSpec, window: Window, bound: int) -> tuple[range, range, range, int]:
-    """The region ``page_by_page`` materializes and its exponent cap: one
+    """The region ``_page_by_page`` materializes and its exponent cap: one
     column per firing page on each side in c, the span of every page in
     filtration, and the cap raised by h."""
     h = spec.effective_height
@@ -313,21 +267,13 @@ def _m_range(cr: range, dr: range, s: int) -> range:
     return range(-((dr[-1] + s - cr[0]) // 4), (cr[-1] - dr[0] - s) // 4 + 1)
 
 
-def _layers(cr: range, dr: range, sr: range):
-    """(s, m, c_lo, c_hi) for each nonempty layer of a box, the walk
-    ``_layer_count`` counts.  The slots at filtration s and u-exponent m are
-    c_lo <= c <= c_hi, with d = c - s - 4m and weight w = c - 2m, so a
-    layer's weights form one interval."""
-    for s in sr:
-        for m in _m_range(cr, dr, s):
-            yield s, m, max(cr[0], dr[0] + s + 4 * m), min(cr[-1], dr[-1] + s + 4 * m)
-
-
 def _diagonals(records, f: int):
     """(signature, c_lo, t, n, counts of each slot) for each diagonal t of a
     readout, n slots long: the signature is its layers' filtrations, and a
     slot's counts are each layer's full count, and at s = 0 then its
-    index-two count.  Below f = 4 no two layers share a diagonal, so none is
+    index-two count.  Every layer on the diagonal t = c - d = s + 4m spans
+    the same c, max(-C, t - D) to min(C, t + D), so its layers' counts zip
+    slot by slot.  Below f = 4 no two layers share a diagonal, so none is
     grouped."""
     if f < 4:  # grouping a 999999 0 0 window too: 1.35x its time and peak RSS (2 CPUs)
         for s, m, c_lo, fulls, halves in records:
@@ -478,7 +424,7 @@ def _closed_form(spec: RingSpec, window: Window, bound: int) -> list:
 
 
 def _layout(spec: RingSpec, window: Window, bound: int):
-    """Where ``page_by_page`` keeps exps * a^s * u^m: bit code of layer (s, m).
+    """Where ``_page_by_page`` keeps exps * a^s * u^m: bit code of layer (s, m).
     The code has a digit per v exponent (minus its low, with a spare value
     above its high for a target), then the rank of the other exponents, dense
     for any number of generators.  Returns the box, the v digits' (low,
@@ -670,8 +616,8 @@ def _page_by_page(spec: RingSpec, window: Window, bound: int) -> tuple[list, tup
     return records, tuple(fired)
 
 
-STRATEGY_CLOSED = "closed_form"
-STRATEGY_PAGES = "page_by_page"
+STRATEGY_CLOSED = "fast"
+STRATEGY_PAGES = "reference"
 STRATEGY_BOTH = "both"
 
 # Most slots plus words or series steps one compute_einfty call may touch
@@ -725,18 +671,19 @@ def _slot_count(cr: range, dr: range, sr: range) -> int:
 
 
 def _layer_count(cr: range, dr: range, sr: range) -> int:
-    """The layers ``_layers`` walks: at filtration s, (c_hi - d_lo - s)//4 +
-    (d_hi + s - c_lo)//4 + 1, which depends only on s mod 4."""
+    """The nonempty layers of a box: at filtration s, those of ``_m_range``,
+    (c_hi - d_lo - s)//4 + (d_hi + s - c_lo)//4 + 1, which depends only on
+    s mod 4."""
     return sum(_residues(sr, t) * ((cr[-1] - dr[0] - t) // 4 + (dr[-1] + t - cr[0]) // 4 + 1)
                for t in range(4))
 
 
 def _work(spec: RingSpec, window: Window, bound: int, strategy: str) -> int:
     """Slots visited plus what the strategies asked for touch, counted in
-    arithmetic, walking no layer: for ``page_by_page`` the 64-bit words of its
+    arithmetic, walking no layer: for ``_page_by_page`` the 64-bit words of its
     bitsets (one per layer of the region, and per weight an entry of the
     prefix sums of all and of capped bits) or the steps of its series,
-    whichever is more, and for ``closed_form`` the steps of the series of
+    whichever is more, and for ``_closed_form`` the steps of the series of
     ``_free_counts``, order + 1 - weight per generator.  Past ``MAX_WORK`` in
     slots, or in slots and the reference's steps, only those: no table is
     built."""
@@ -761,23 +708,18 @@ def _work(spec: RingSpec, window: Window, bound: int, strategy: str) -> int:
     return work
 
 
-def compute_einfty(
-    spec: RingSpec, window: Window, strategy: str = STRATEGY_BOTH,
-    bound: int | None = None,
-) -> EinftyChart:
+def compute_einfty(spec: RingSpec, window: Window, strategy: str = STRATEGY_BOTH) -> EinftyChart:
     """E_infty chart on the window; both strategies must agree when asked.
 
     The page-by-page run materializes a padded region (page span in
     filtration, one column per firing page in the stem direction) so homology
-    at the window edge is exact; padding is computed, never configurable.
+    at the window edge is exact; padding and the exponent cap
+    (``_auto_bound``) are computed, never configurable.
     A request whose ``_work`` is above ``MAX_WORK`` is refused first (ValueError).
     """
     if strategy not in (STRATEGY_CLOSED, STRATEGY_PAGES, STRATEGY_BOTH):
         raise ValueError(f"unknown strategy: {strategy}")
-    if bound is None:
-        bound = _auto_bound(spec, window)
-    if bound < 1:
-        raise ValueError("window too small to pad")
+    bound = _auto_bound(spec, window)
     work = _work(spec, window, bound, strategy)
     if work > MAX_WORK:
         raise ValueError(
@@ -842,19 +784,6 @@ def ringspec_from_dict(data) -> RingSpec:
 def load_ringspec(path: str) -> RingSpec:
     with open(path, encoding="utf-8") as fh:
         return ringspec_from_dict(json.load(fh))
-
-
-def ringspec_to_dict(spec: RingSpec) -> dict:
-    return {
-        "name": spec.name,
-        "base": spec.base,
-        "generators": [
-            {"sym": g.sym, "weight": g.weight, "invertible": g.invertible}
-            for g in spec.generators
-        ],
-        "v": list(spec.v),
-        "termination": spec.termination,
-    }
 
 
 def chart_to_dict(chart: EinftyChart) -> dict:

@@ -16,8 +16,8 @@ from . import hfpss
 from .hfpss import GROUP_Z, GROUP_Z2, STRATEGY_PAGES, EinftyChart, RingSpec, Window
 
 __all__ = [
-    "RO2Degree", "weight_basis", "PageClass", "_page_exponent", "e2_basis", "differential",
-    "is_strongly_even", "_normalize_image", "transfer_check", "VChainReport", "v_chain_check",
+    "RO2Degree", "weight_basis", "PageClass", "e2_basis", "differential",
+    "is_strongly_even", "transfer_check", "VChainReport", "v_chain_check",
 ]
 
 
@@ -106,12 +106,11 @@ def _page_exponent(r: int) -> int:
 
 def e2_basis(
     spec: RingSpec, degree: RO2Degree | tuple[int, int], max_filtration: int,
-    bound: int | None = None,
 ) -> list[PageClass]:
-    """All E2 classes in one RO(C2) degree up to a filtration bound."""
+    """All E2 classes in one RO(C2) degree up to a filtration bound, the
+    invertible exponents within (|c| + |d| + max_filtration)//2 + 2."""
     c, d = degree
-    if bound is None:
-        bound = (abs(c) + abs(d) + max_filtration) // 2 + 2
+    bound = (abs(c) + abs(d) + max_filtration) // 2 + 2
     out = []
     for s in range(0, max_filtration + 1):
         if (c + d + s) % 2 or (c - d - s) % 4:
@@ -194,10 +193,7 @@ def _normalize_image(spec: RingSpec, terms) -> tuple[int, ...] | None | str:
     return e
 
 
-def transfer_check(
-    source: RingSpec, target: RingSpec, gen_map: dict, max_weight: int,
-    bound: int = 8,
-) -> dict:
+def transfer_check(source: RingSpec, target: RingSpec, gen_map: dict, max_weight: int) -> dict:
     """Mod-(2, v_1, .., v_i) injectivity of a monomial ring map, per level i.
 
     ``gen_map`` sends each source generator to a target monomial with integer
@@ -206,7 +202,8 @@ def transfer_check(
     mod (2, v_1, .., v_i) iff ``RingSpec.divides`` says one of those v
     divides it, so an invertible v kills everything.  Level i holds iff the
     source monomials that survive map to distinct target monomials that
-    survive.  Weights 0..max_weight are compared.
+    survive.  Weights 0..max_weight are compared, the source's invertible
+    exponents within [-8, 8].
     """
     images = []
     for g in source.generators:
@@ -227,7 +224,7 @@ def transfer_check(
         return tuple(img)
 
     mapped = [(exps, image(exps)) for w in range(max_weight + 1)
-              for exps in weight_basis(source, w, bound)]
+              for exps in weight_basis(source, w, 8)]
     out = {}
     for i in levels:
         imgs = [img for exps, img in mapped

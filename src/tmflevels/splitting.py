@@ -85,18 +85,16 @@ class Torsion(Enum):
     UNKNOWN = "unknown"
 
 
-def torsion_condition(n: int, l: int, user_data: dict | None = None) -> Torsion:
+def torsion_condition(n: int, l: int) -> Torsion:
     """Whether pi_1 of the compactified level-n module is l-torsionfree.
 
     Builtin knowledge covers l=2 only: holds for n < 65, fails at n = 65.
-    Anything else is Unknown unless user data supplies it.
+    Anything else is Unknown.
     """
     if not is_prime(l):
         raise ValueError("l must be prime")
     if n % l == 0:
         raise ValueError(f"l={l} must not divide n={n}")
-    if user_data and (n, l) in user_data:
-        return Torsion.HOLDS if user_data[(n, l)] else Torsion.FAILS
     if l == 2:
         if n < 65:
             return Torsion.HOLDS

@@ -137,14 +137,14 @@ def test_symmetry_shift_unique_per_self_dual_level():
 
 def test_render_json_roundtrip():
     chart = dss_chart(23, (-10, 10))
-    data = json.loads(render(chart, "json").decode("utf-8"))
+    data = json.loads(render(chart, "json"))
     assert data == chart_to_dict(chart)
     assert data["n"] == 23 and data["range"] == [-10, 10]
     assert {"stem": 0, "filtration": 0, "rank": 1, "marker": "exact"} in data["entries"]
 
 
 def test_render_ascii_figure():
-    text = render(dss_chart(23, (-2, 2)), "ascii").decode("utf-8")
+    text = render(dss_chart(23, (-2, 2)), "ascii")
     expected = (
         "1 |      [12]       [1]\n"
         "0 |            [1]      [12]\n"
@@ -155,7 +155,7 @@ def test_render_ascii_figure():
 
 
 def test_render_ascii_row_content_23():
-    text = render(dss_chart(23, (-10, 10)), "ascii").decode("utf-8")
+    text = render(dss_chart(23, (-10, 10)), "ascii")
     top, bottom = text.splitlines()[:2]
     assert [c for c in top.split() if c.startswith("[")] == [
         "[99]", "[77]", "[55]", "[33]", "[12]", "[1]",
@@ -167,13 +167,13 @@ def test_render_ascii_row_content_23():
 
 def test_render_empty_chart():
     chart = dss_chart(7, (5, 4))
-    assert render(chart, "ascii") == b""
+    assert render(chart, "ascii") == ""
     assert json.loads(render(chart, "json"))["entries"] == []
 
 
 def test_render_svg_structure():
     chart = dss_chart(23, (-10, 10))
-    svg = render(chart, "svg").decode("utf-8")
+    svg = render(chart, "svg")
     root = ET.fromstring(svg)
     texts = [el.text for el in root.iter() if el.tag.endswith("text")]
     for rank in ("1", "12", "33", "55", "77", "99"):
@@ -183,6 +183,7 @@ def test_render_svg_structure():
 def test_render_deterministic():
     chart = dss_chart(23, (-10, 10))
     for fmt in ("json", "ascii", "svg"):
+        assert isinstance(render(chart, fmt), str)
         assert render(chart, fmt) == render(chart, fmt)
 
 

@@ -557,6 +557,15 @@ def arguments(parser):
     ]
 
 
+def test_hfpss_strategy_choices_are_the_engine_strategies():
+    from tmflevels.hfpss import STRATEGY_BOTH, STRATEGY_CLOSED, STRATEGY_PAGES
+
+    (action,) = [a for a in subparsers(cli.build_parser("hfpss"))["hfpss"]._actions
+                 if a.dest == "strategy"]
+    assert set(action.choices) == {STRATEGY_BOTH, STRATEGY_CLOSED, STRATEGY_PAGES}
+    assert action.default == STRATEGY_BOTH
+
+
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_request_parser_gives_arguments_to_its_subcommand_only(command):
     whole, built = subparsers(cli.build_parser()), subparsers(cli.build_parser(command))

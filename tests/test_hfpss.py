@@ -30,7 +30,6 @@ from tmflevels.hfpss import (
     _entries,
     _free_counts,
     _layer_count,
-    _layers,
     _layout,
     _m_range,
     _materialize,
@@ -50,7 +49,6 @@ from tmflevels.hfpss import (
     render_ascii,
     render_json,
     ringspec_from_dict,
-    ringspec_to_dict,
     transfer_check,
     v_chain_check,
     weight_basis,
@@ -88,6 +86,31 @@ ORACLE_WINDOWS = [Window(*w) for w in itertools.product((0, 1, 3, 7, 12), repeat
 ORACLE_SMALL_CAPS = list(itertools.product(
     (Window(3, 3, 3), Window(7, 3, 12), Window(12, 7, 7)), (1, 2)
 ))
+
+
+def ringspec_to_dict(spec):
+    """The ring file's JSON object of ``spec``, ``ringspec_from_dict``'s
+    inverse."""
+    return {
+        "name": spec.name,
+        "base": spec.base,
+        "generators": [
+            {"sym": g.sym, "weight": g.weight, "invertible": g.invertible}
+            for g in spec.generators
+        ],
+        "v": list(spec.v),
+        "termination": spec.termination,
+    }
+
+
+def _layers(cr, dr, sr):
+    """(s, m, c_lo, c_hi) for each nonempty layer of a box, the walk
+    ``_layer_count`` counts.  The slots at filtration s and u-exponent m are
+    c_lo <= c <= c_hi, with d = c - s - 4m and weight w = c - 2m, so a
+    layer's weights form one interval."""
+    for s in sr:
+        for m in _m_range(cr, dr, s):
+            yield s, m, max(cr[0], dr[0] + s + 4 * m), min(cr[-1], dr[-1] + s + 4 * m)
 
 
 def closed_chart(spec, window, bound):
@@ -561,8 +584,15 @@ def test_v_chain_check_sees_a_differential_past_the_chain(monkeypatch):
 
 
 def test_library_api_names_resolve_from_the_engine():
+    # the shim hands out the API's public names, each of them, and no other
     for name in hfpss_api.__all__:
+        assert not name.startswith("_"), name
         assert getattr(hfpss, name) is getattr(hfpss_api, name), name
+    assert set(hfpss_api.__all__) == {
+        name for name, value in vars(hfpss_api).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == hfpss_api.__name__}
+    for name in ("_page_exponent", "_normalize_image"):
+        assert not hasattr(hfpss, name), name
     # any other name raises AttributeError, so getattr with a default works
     assert not hasattr(hfpss, "no_such_name")
     assert getattr(hfpss, "no_such_name", None) is None
@@ -581,10 +611,9 @@ def test_window_validation():
             Window(*extents)
     with pytest.raises(ValueError, match="^window extents must be nonnegative$"):
         Window(1, 2, 3)._replace(f=-1)
-    with pytest.raises(ValueError):
-        compute_einfty(H1, Window(4, 4, 4), "banana")
-    with pytest.raises(ValueError):
-        compute_einfty(H1, Window(4, 4, 4), STRATEGY_BOTH, bound=0)
+    for retired in ("banana", "closed_form", "page_by_page"):
+        with pytest.raises(ValueError, match=f"^unknown strategy: {retired}$"):
+            compute_einfty(H1, Window(4, 4, 4), retired)
 
 
 def test_strategies_equal_the_per_monomial_oracle():
@@ -797,7 +826,6 @@ def test_work_walks_no_layer(monkeypatch):
     prices = {(spec, window, bound, strategy): _work(spec, window, bound, strategy)
               for spec in ORACLE_RINGS for window, bound in oracle_cases(spec)
               for strategy in strategies}
-    monkeypatch.setattr(hfpss, "_layers", no_walk)
     monkeypatch.setattr(hfpss, "_m_range", no_walk)  # every layer walk takes its m from it
     for case, price in prices.items():
         assert _work(*case) == price, case

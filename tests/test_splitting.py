@@ -308,7 +308,6 @@ def test_torsion_condition():
     assert torsion_condition(65, 2) is Torsion.FAILS
     assert torsion_condition(67, 2) is Torsion.UNKNOWN
     assert torsion_condition(5, 3) is Torsion.UNKNOWN
-    assert torsion_condition(5, 3, {(5, 3): True}) is Torsion.HOLDS
     with pytest.raises(ValueError):
         torsion_condition(10, 2)
     with pytest.raises(ValueError):
