@@ -18,13 +18,17 @@ lazily (``_lazy``) and run when a request first reads one of their
 attributes, so ``invariants`` runs none of them and ``duality`` only
 ``duality``.
 
-A request builds a parser whose subcommands all have their subparsers (the
-usage line, ``--help`` and the "invalid choice" message need each name and
-help text) but only the requested one gets its arguments, from ``COMMANDS``:
-the first token not starting with "-" names it.  No parser is kept from one
-request to the next.  A cached parser would make a request several times
-faster, and the benchmark's worker keeps one latency per request in a list,
-so its peak RSS would then grow past its bound (ROADMAP items 2 and 9).
+A request whose first token names a subcommand builds two parsers: the
+top-level one and that subcommand's, from ``COMMANDS``.  The top-level
+parser hands every later token to the subparser, and its usage line lists
+every subcommand through a metavar.  Anything else (no token, an unknown
+name, ``-h`` or another option first) builds the whole parser, with every
+subparser, because its help and its "invalid choice" and "required"
+messages list or name the subcommands; it has no metavar, so these
+messages still say "command".  No parser is kept from one request to the
+next.  A cached parser would make a request several times faster, and the
+benchmark's worker keeps one latency per request in a list, so its peak
+RSS would then grow past its bound (ROADMAP items 2 and 9).
 """
 
 from __future__ import annotations
@@ -280,28 +284,31 @@ COMMANDS = {
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, with the arguments of ``command``
-    only, or of all of them when ``command`` is None."""
+    """The parser of every subcommand when ``command`` is None, else the
+    top-level parser with the subparser of ``command`` only."""
     parser = argparse.ArgumentParser(
         prog="tmflevels",
         description="Exact invariants, charts, splittings and duality data "
         "for topological modular forms with level structure.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # keeps every subcommand on the usage line; on the whole parser it would
+    # replace "command" in the "required" and "invalid choice" messages
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (text, add_arguments, handler) in COMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        if command is None or command == name:
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
             add_arguments(p)
             p.set_defaults(func=handler)
     return parser
 
 
 def _parse(argv):
-    """``argv`` parsed with the arguments of its own subcommand only: the
-    top-level parser has no option that takes a value, so the first token
-    not starting with "-" is the subcommand, or argparse refuses the
-    request before any subparser reads it."""
-    command = next((tok for tok in argv if not tok.startswith("-")), None)
+    """``argv`` parsed by the subparser of its first token when that names
+    a subcommand: the top-level parser then hands it every later token.
+    Anything else (no token, an unknown name, an option first) is left to
+    the whole parser, whose help and errors list every subcommand."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     return build_parser(command).parse_args(argv)
 
 

@@ -514,7 +514,7 @@ def test_exactness_no_float_arithmetic_in_source():
 
 
 # The whole parser, ``build_parser()``, is the oracle for the one a request
-# builds, which gives arguments to the requested subcommand only.
+# builds, which has the requested subcommand's subparser only.
 GOLDEN_ARGV = [case["argv"] for case in json.loads(
     (Path(__file__).parent / "golden" / "cases.json").read_text("utf-8"))]
 USAGE_ARGV = [
@@ -523,6 +523,10 @@ USAGE_ARGV = [
     ["invariants", "--n", "5", "--frobnicate"], ["chart", "--n", "5"],
     ["chart", "--n", "5", "--range", "banana"], ["duality", "--format", "xml"],
     ["hfpss", "--ring", "x", "--window", "1", "2"], ["split", "--n", "5", "--prime", "5"],
+    ["invariants"], ["-h"], ["--he", "invariants"],
+    ["invariants", "--n", "5", "chart"], ["invariants", "--n", "5", "--", "x"],
+    ["invariants", "--", "--n", "5"], ["invariants", "--nn", "5"],
+    ["chart", "--n", "5", "--range", "-10..10", "extra"],
 ] + [[name, "-h"] for name in cli.COMMANDS]
 
 
@@ -567,12 +571,39 @@ def test_hfpss_strategy_choices_are_the_engine_strategies():
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)
-def test_request_parser_gives_arguments_to_its_subcommand_only(command):
-    whole, built = subparsers(cli.build_parser()), subparsers(cli.build_parser(command))
-    assert list(built) == list(whole) == list(cli.COMMANDS)
-    for name, sub in built.items():
-        if name == command:
-            assert arguments(sub) == arguments(whole[name])
-        else:
-            assert sub._defaults == {}
-            assert [a.option_strings for a in sub._actions] == [["-h", "--help"]]
+def test_request_parser_gives_arguments_to_its_subcommand_only(command, monkeypatch):
+    """A request's parser holds its own subcommand's subparser only, built as
+    the whole parser builds it, and a usage line that still names them all."""
+    monkeypatch.setenv("COLUMNS", "80")
+    whole, built = cli.build_parser(), cli.build_parser(command)
+    assert list(subparsers(built)) == [command]
+    assert list(subparsers(whole)) == list(cli.COMMANDS)
+    sub, oracle = subparsers(built)[command], subparsers(whole)[command]
+    assert arguments(sub) == arguments(oracle)
+    assert sub.format_help() == oracle.format_help()
+    assert built.format_usage() == whole.format_usage()
+
+
+def count_parsers(monkeypatch):
+    """A list that grows by one for each ``ArgumentParser`` built from now on."""
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_request_builds_two_parsers(monkeypatch):
+    built = count_parsers(monkeypatch)
+    assert cli.main(["invariants", "--n", "23"], io.StringIO()) == 0
+    assert len(built) == 2  # the top level and ``invariants``
+
+
+@pytest.mark.parametrize(("argv", "code"), [(["-h"], 0), (["frobnicate"], 2)])
+def test_request_without_a_command_first_builds_the_whole_parser(argv, code, monkeypatch):
+    built = count_parsers(monkeypatch)
+    assert parsed(cli._parse, argv)[0] == code
+    assert len(built) == 1 + len(cli.COMMANDS)
