@@ -3,7 +3,7 @@
 Modules:
     levels       level/curve arithmetic (degrees, cusps, genus, tameness)
     cohomology   h0/h1 rank tables and Hilbert series of modular-form rings
-    charts       descent spectral sequence charts, slices, duality symmetry
+    charts       descent spectral sequence charts, duality symmetry
     splitting    suspension-shift multisets for module decompositions
     duality      Anderson self-duality classification and shift arithmetic
     hfpss        regular RO(C2)-graded homotopy fixed point spectral sequences

@@ -1,9 +1,8 @@
 """Descent-spectral-sequence charts for pi_* Tmf_1(n) in the tame collapse case.
 
 The two-row E_2 = E_infty chart places h0(k) at stem 2k, filtration 0 and
-h1(k) at stem 2k-1, filtration 1.  Also here: the slice relabeling with
-rho-shifts, the Anderson-duality rank symmetry check, and deterministic
-JSON / ASCII / SVG emitters.
+h1(k) at stem 2k-1, filtration 1.  Also here: the Anderson-duality rank
+symmetry check, and deterministic JSON / ASCII / SVG emitters.
 """
 
 from __future__ import annotations
@@ -31,12 +30,6 @@ class Chart(NamedTuple):
     n: int
     range: tuple[int, int]
     entries: tuple[ChartEntry, ...]
-
-    def entry_at(self, stem: int, filtration: int) -> ChartEntry | None:
-        for e in self.entries:
-            if e.stem == stem and e.filtration == filtration:
-                return e
-        return None
 
 
 def _weight_window_for_stems(lo: int, hi: int) -> tuple[int, int]:
@@ -73,32 +66,6 @@ def dss_chart(n: int, stem_range: tuple[int, int], table: S1Table | None = None)
         elif rank > 0:
             entries.append(ChartEntry(stem, filt, rank))
     return Chart(n, stem_range, tuple(entries))
-
-
-class Slice(NamedTuple):
-    index: int
-    rho_shift: int
-    offset: int  # 0 for even slices (k*rho), -1 for odd slices (k*rho - 1)
-    rank: int
-    marker: str = EXACT
-
-
-class SliceList(NamedTuple):
-    n: int
-    range: tuple[int, int]
-    slices: tuple[Slice, ...]
-
-
-def slices(n: int, index_range: tuple[int, int], table: S1Table | None = None) -> SliceList:
-    """Slice ranks: slice 2k is (k*rho, h0(k)); slice 2k-1 is (k*rho - 1, h1(k)).
-
-    Slices of rank zero are omitted (they vanish).  Slice m has the rank and
-    marker of the chart entry at stem m.
-    """
-    chart = dss_chart(n, index_range, table)
-    return SliceList(n, index_range, tuple(
-        Slice(e.stem, (e.stem + 1) // 2, -(e.stem % 2), e.rank, e.marker) for e in chart.entries
-    ))
 
 
 def _rank_at_stem(rt, stem: int):
@@ -138,17 +105,8 @@ def chart_to_dict(chart: Chart) -> dict:
     }
 
 
-def _render_json(chart: Chart) -> str:
-    return json.dumps(chart_to_dict(chart), sort_keys=True) + "\n"
-
-
-def _cell(entry: ChartEntry | None) -> str:
-    if entry is None:
-        return ""
-    box = f"[{entry.rank}]"
-    if entry.marker == NEEDS_S1:
-        box = f"[{entry.rank}?]"
-    return box
+def _label(entry: ChartEntry) -> str:
+    return f"{entry.rank}?" if entry.marker == NEEDS_S1 else str(entry.rank)
 
 
 def _render_ascii(chart: Chart) -> str:
@@ -156,7 +114,7 @@ def _render_ascii(chart: Chart) -> str:
     if lo > hi:
         return ""
     stems = list(range(lo, hi + 1))
-    cells = {(e.stem, e.filtration): _cell(e) for e in chart.entries}
+    cells = {(e.stem, e.filtration): f"[{_label(e)}]" for e in chart.entries}
     width = max([len(str(s)) for s in stems] + [len(c) for c in cells.values()] + [1]) + 1
     lines = []
     for q in (1, 0):
@@ -192,11 +150,10 @@ def _render_svg(chart: Chart) -> str:
     for e in chart.entries:
         x = margin + (e.stem - lo) * cell + cell // 2
         y = margin + (1 - e.filtration) * cell + cell // 2
-        label = str(e.rank) + ("?" if e.marker == NEEDS_S1 else "")
         parts.append(
             f'<text x="{x}" y="{y}" text-anchor="middle" dominant-baseline="middle" '
             f'font-size="{SVG_LAYOUT["font"]}" font-family="{SVG_LAYOUT["font_family"]}">'
-            f"{label}</text>"
+            f"{_label(e)}</text>"
         )
     for stem in range(lo, hi + 1):
         x = margin + (stem - lo) * cell + cell // 2
@@ -214,7 +171,7 @@ def render(chart: Chart, format: str = "json") -> str:
     """Deterministic rendering of a chart in json, ascii or svg; all three
     are ASCII text."""
     if format == "json":
-        return _render_json(chart)
+        return json.dumps(chart_to_dict(chart), sort_keys=True) + "\n"
     if format == "ascii":
         return _render_ascii(chart)
     if format == "svg":

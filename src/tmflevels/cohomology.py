@@ -77,7 +77,8 @@ def load_s1_table(path=None) -> S1Table:
 
     The file format is a UTF-8 CSV with header ``n,s1`` and no quoting.  A user
     entry that conflicts with a builtin value triggers a warning and wins.  A
-    row that is not two integers raises ValueError naming the file and line.
+    row that is not two integers, or whose level is below 1 or on an earlier
+    row, raises ValueError naming the file and line.
     """
     base = builtin_s1_table()
     if path is None:
@@ -99,6 +100,10 @@ def load_s1_table(path=None) -> S1Table:
                 n, v = int(row["n"]), int(row["s1"])
             except ValueError:
                 raise ValueError(f"{where} has a value that is not an integer") from None
+            if n < 1:
+                raise ValueError(f"{where} has level {n}, below 1")
+            if prov.get(n) == USER:
+                raise ValueError(f"{where} repeats level {n}")
             if v < 0:
                 raise ValueError(f"s1 file {path}: negative value for n={n}")
             if n in values and prov[n] == BUILTIN and values[n] != v:
@@ -130,7 +135,6 @@ class RankTable(NamedTuple):
     h0: dict[int, int]
     h1: dict[int, int]
     needs_s1: bool = False
-    eisenstein_weight1: int | None = None
 
     def h0_rank(self, k: int):
         if self.needs_s1 and k == 1:
@@ -185,7 +189,7 @@ def rank_table(n: int, window: tuple[int, int], table: S1Table | None = None) ->
         else:
             h0[k] = k * degw + 1 - g
             h1[k] = 0
-    return RankTable(n, window, h0, h1, needs_s1=needs and lo <= 1 <= hi, eisenstein_weight1=eis)
+    return RankTable(n, window, h0, h1, needs_s1=needs and lo <= 1 <= hi)
 
 
 class HilbertSeries(NamedTuple):
@@ -193,10 +197,6 @@ class HilbertSeries(NamedTuple):
 
     numerator: tuple[int, ...]
     denominator_exponents: tuple[int, int]
-
-    def expand(self, order: int) -> list[int]:
-        from . import _poly
-        return _poly.series_of_quotient(list(self.numerator), self.denominator_exponents, order)
 
 
 def hilbert_series(n: int, table: S1Table | None = None):

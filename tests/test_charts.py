@@ -1,4 +1,4 @@
-"""Descent spectral sequence charts, slices, symmetry check, rendering."""
+"""Descent spectral sequence charts, symmetry check, rendering."""
 
 import json
 import xml.etree.ElementTree as ET
@@ -12,7 +12,6 @@ from tmflevels.charts import (
     chart_to_dict,
     dss_chart,
     render,
-    slices,
 )
 from tmflevels.cohomology import UNKNOWN, rank_table
 from tmflevels.duality import duality_scan
@@ -20,14 +19,19 @@ from tmflevels.duality import duality_scan
 FIGURE_RANKS = [1, 12, 33, 55, 77, 99]
 
 
+def by_place(chart):
+    """A chart's entries keyed by (stem, filtration)."""
+    return {(e.stem, e.filtration): e for e in chart.entries}
+
+
 def test_dss_chart_23_matches_figure():
     chart = dss_chart(23, (-10, 10))
+    entries = by_place(chart)
     for i, stem in enumerate((0, 2, 4, 6, 8, 10)):
-        assert chart.entry_at(stem, 0).rank == FIGURE_RANKS[i]
+        assert entries[stem, 0].rank == FIGURE_RANKS[i]
     for i, stem in enumerate((1, -1, -3, -5, -7, -9)):
-        assert chart.entry_at(stem, 1).rank == FIGURE_RANKS[i]
-    occupied = {(e.stem, e.filtration) for e in chart.entries}
-    assert occupied == {(s, 0) for s in (0, 2, 4, 6, 8, 10)} | {
+        assert entries[stem, 1].rank == FIGURE_RANKS[i]
+    assert entries.keys() == {(s, 0) for s in (0, 2, 4, 6, 8, 10)} | {
         (s, 1) for s in (1, -1, -3, -5, -7, -9)
     }
     assert all(e.marker == "exact" for e in chart.entries)
@@ -48,52 +52,28 @@ def test_dss_chart_empty_range():
 
 
 def test_dss_chart_needs_s1_markers():
-    chart = dss_chart(31, (0, 4))
-    e = chart.entry_at(2, 0)
-    assert e.marker == "needs_s1"
-    e1 = chart.entry_at(1, 1)
-    assert e1 is not None and e1.marker == "needs_s1"
+    entries = by_place(dss_chart(31, (0, 4)))
+    assert entries[2, 0].marker == "needs_s1"
+    assert entries[1, 1].marker == "needs_s1"
 
 
-def test_slices_23():
-    sl = slices(23, (-2, 2))
-    by_index = {s.index: s for s in sl.slices}
-    assert (by_index[1].rho_shift, by_index[1].offset, by_index[1].rank) == (1, -1, 1)
-    assert (by_index[-1].rho_shift, by_index[-1].offset, by_index[-1].rank) == (0, -1, 12)
-    assert (by_index[0].rho_shift, by_index[0].offset, by_index[0].rank) == (0, 0, 1)
-
-
-def test_slices_n7_odd_vanish():
-    sl = slices(7, (2, 40))
-    assert all(s.offset == 0 for s in sl.slices)
-
-
-def test_slices_n1_zero():
-    sl = slices(1, (0, 0))
-    assert len(sl.slices) == 1
-    s = sl.slices[0]
-    assert (s.index, s.rho_shift, s.rank) == (0, 0, 1)
-
-
-def test_chart_slice_rank_coherence():
+def test_chart_rank_coherence():
     for n in range(5, 101):
         chart = dss_chart(n, (-8, 8))
-        sl = slices(n, (-8, 8))
         rt = rank_table(n, (-4, 4))
-        chart_map = {(e.stem, e.filtration): (e.rank, e.marker) for e in chart.entries}
-        slice_map = {s.index: (s.rank, s.marker) for s in sl.slices}
-        assert chart_map.keys() == {
-            (m, 0 if m % 2 == 0 else 1) for m in slice_map
-        }
-        for m, (rank, marker) in slice_map.items():
-            filt = 0 if m % 2 == 0 else 1
-            assert chart_map[(m, filt)] == (rank, marker)
+        for e in chart.entries:
+            assert e.filtration == e.stem % 2
+        entries = by_place(chart)
+        for m in range(-8, 9):
             k = m // 2 if m % 2 == 0 else (m + 1) // 2
             expected = rt.h0_rank(k) if m % 2 == 0 else rt.h1_rank(k)
+            e = entries.get((m, m % 2))
             if expected is UNKNOWN:
-                assert marker == "needs_s1"
+                assert e.marker == "needs_s1"
+            elif expected:
+                assert (e.rank, e.marker) == (expected, "exact")
             else:
-                assert rank == expected
+                assert e is None
 
 
 def test_anderson_symmetry_23():

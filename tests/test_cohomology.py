@@ -1,6 +1,7 @@
 """Rank tables, s1 handling and Hilbert series."""
 
 import csv
+import warnings
 from importlib import resources
 
 import pytest
@@ -19,6 +20,11 @@ from tmflevels.cohomology import (
 from tmflevels.levels import curve_invariants
 
 
+def expand(h, order):
+    """The power series of the Hilbert series ``h`` up to t^order."""
+    return series_of_quotient(list(h.numerator), h.denominator_exponents, order)
+
+
 def test_s1_builtin():
     assert s1(7) == 0
     assert s1(23) == 1
@@ -28,8 +34,9 @@ def test_s1_builtin():
 
 def test_s1_user_override(tmp_path):
     f = tmp_path / "s1.csv"
-    f.write_text("n,s1\n35,2\n23,1\n", encoding="utf-8")
+    f.write_text("n,s1\n1,0\n35,2\n23,1\n", encoding="utf-8")
     table = load_s1_table(f)
+    assert table.lookup(1) == 0
     assert table.lookup(35) == 2
     assert table.lookup(23) == 1
     assert table.provenance[35] == "user"
@@ -56,9 +63,16 @@ def test_s1_malformed_rows_name_file_and_line(tmp_path):
         ("n,s1\n5,0,7\n", "line 2 has more than two fields"),
         ("n,s1\n4,0\n5,x\n", "line 3 has a value that is not an integer"),
         ("n,s1\nx,0\n", "line 2 has a value that is not an integer"),
+        ("n,s1\n0,0\n", "line 2 has level 0, below 1"),
+        ("n,s1\n-5,1\n", "line 2 has level -5, below 1"),
+        # the later row would win, and flip the builtin s1(23) = 1 to 2
+        ("n,s1\n23,1\n23,2\n", "line 3 repeats level 23"),
+        ("n,s1\n23,2\n23,1\n", "line 3 repeats level 23"),
+        ("n,s1\n40,0\n41,1\n40,0\n", "line 4 repeats level 40"),
     ):
         f.write_text(text, encoding="utf-8")
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(ValueError) as exc, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # 23,2 overrides the builtin first
             load_s1_table(f)
         assert str(exc.value) == f"s1 file {f}: {problem}"
 
@@ -174,14 +188,14 @@ def test_hilbert_series_n5():
     assert h.numerator == (1,)
     assert h.denominator_exponents == (1, 1)
     rt = rank_table(5, (0, 50))
-    assert h.expand(50) == [rt.h0[k] for k in range(51)]
+    assert expand(h, 50) == [rt.h0[k] for k in range(51)]
 
 
 def test_hilbert_series_n23():
     h = hilbert_series(23)
     assert h.numerator == (1, 10, 10, 1)
     rt = rank_table(23, (0, 50))
-    assert h.expand(50) == [rt.h0[k] for k in range(51)]
+    assert expand(h, 50) == [rt.h0[k] for k in range(51)]
 
 
 def test_hilbert_series_n3():
@@ -189,7 +203,7 @@ def test_hilbert_series_n3():
     assert h.numerator == (1,)
     assert h.denominator_exponents == (1, 3)
     rt = rank_table(3, (0, 40))
-    assert h.expand(40) == [rt.h0[k] for k in range(41)]
+    assert expand(h, 40) == [rt.h0[k] for k in range(41)]
 
 
 def test_hilbert_series_unknown():
@@ -200,7 +214,7 @@ def test_hilbert_expansion_matches_rank_table_range():
     for n in range(5, 24):
         h = hilbert_series(n)
         rt = rank_table(n, (0, 40))
-        assert h.expand(40) == [rt.h0[k] for k in range(41)], n
+        assert expand(h, 40) == [rt.h0[k] for k in range(41)], n
 
 
 def test_series_of_quotient():

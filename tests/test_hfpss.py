@@ -448,6 +448,15 @@ def test_h2p_has_no_vanishing_line():
     assert tall
 
 
+def test_declared_vanishing_line_is_the_highest_filtration_held():
+    # the engine, not the formula 2^(h+1) - 2: a class sits on the line, none above
+    for spec in (H1, H2L):
+        for window in (Window(12, 12, 20), Window(0, 30, 40), Window(30, 0, 40)):
+            records = compute_einfty(spec, window, STRATEGY_BOTH).records
+            held = {s for s, _, _, fulls, halves in records if any(fulls) or any(halves or ())}
+            assert max(held) == spec.vanishing_line, (spec.name, window)
+
+
 def test_strategies_agree_small_windows():
     for spec in (H1, H2P, H2L):
         a = compute_einfty(spec, Window(10, 10, 10), STRATEGY_CLOSED)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tmflevels.charts import NEEDS_S1, Chart, ChartEntry, Slice, SliceList
+from tmflevels.charts import NEEDS_S1, Chart, ChartEntry
 from tmflevels.cohomology import UNKNOWN, HilbertSeries, RankTable, S1Table
 from tmflevels.duality import verdict
 from tmflevels.equivariant import Component, DivisorSplit, FiniteAbelian
@@ -26,9 +26,8 @@ H2L = presets()["height2-laurent"]
 RECORDS = [
     (lambda: S1Table({5: 0}, {5: "user"}),
      "S1Table(values={5: 0}, provenance={5: 'user'})"),
-    (lambda: RankTable(5, (0, 1), {0: 1, 1: 0}, {0: 0}, True, 0),
-     "RankTable(n=5, window=(0, 1), h0={0: 1, 1: 0}, h1={0: 0}, needs_s1=True, "
-     "eisenstein_weight1=0)"),
+    (lambda: RankTable(5, (0, 1), {0: 1, 1: 0}, {0: 0}, True),
+     "RankTable(n=5, window=(0, 1), h0={0: 1, 1: 0}, h1={0: 0}, needs_s1=True)"),
     (lambda: HilbertSeries((1, 0, 1), (1, 1)),
      "HilbertSeries(numerator=(1, 0, 1), denominator_exponents=(1, 1))"),
     (lambda: StackyData(2, (2, 4)), "StackyData(n=2, weights=(2, 4))"),
@@ -47,10 +46,6 @@ RECORDS = [
      "ChartEntry(stem=2, filtration=0, rank=1, marker='needs_s1')"),
     (lambda: Chart(5, (0, 2), (ChartEntry(0, 0, 1),)),
      "Chart(n=5, range=(0, 2), entries=(ChartEntry(stem=0, filtration=0, rank=1, "
-     "marker='exact'),))"),
-    (lambda: Slice(1, 1, -1, 2), "Slice(index=1, rho_shift=1, offset=-1, rank=2, marker='exact')"),
-    (lambda: SliceList(5, (0, 1), (Slice(0, 0, 0, 1),)),
-     "SliceList(n=5, range=(0, 1), slices=(Slice(index=0, rho_shift=0, offset=0, rank=1, "
      "marker='exact'),))"),
     (lambda: ShiftPolynomial(Base.L2, {0: 1, 2: 1}),
      "ShiftPolynomial(base=<Base.L2: (1, 3)>, coeffs={0: 1, 2: 1})"),

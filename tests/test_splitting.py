@@ -92,7 +92,7 @@ def series_division_oracle(n, exponents, order=50):
     """Divide the two Hilbert power series coefficient-wise and return the
     quotient, checking the remainder vanishes up to the given order."""
     h = hilbert_series(n)
-    num = h.expand(order)
+    num = series_of_quotient(list(h.numerator), h.denominator_exponents, order)
     den = series_of_quotient([1], exponents, order)
     q = [0] * (order + 1)
     rem = num[:]
