@@ -148,9 +148,11 @@ class RankTable(NamedTuple):
 
 
 def stacky_h0(weights: tuple[int, int], k: int) -> int:
-    """Number of monomial solutions a*i + b*j = k with i, j >= 0."""
+    """Number of monomial solutions a*i + b*j = k with i, j >= 0, counted, not
+    enumerated: whether a divides k - b*j depends only on j mod a, so each
+    class of j mod a that solves it adds its members in 0..k // b."""
     a, b = weights
-    return sum(1 for j in range(max(0, k // b) + 1) if (k - b * j) >= 0 and (k - b * j) % a == 0)
+    return sum(len(range(j, k // b + 1, a)) for j in range(a) if (k - b * j) % a == 0)
 
 
 def rank_table(n: int, window: tuple[int, int], table: S1Table | None = None) -> RankTable:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from . import _poly
 from .cohomology import UNKNOWN, S1Table, hilbert_series
 from .duality import twist
 from .levels import euler_phi, is_prime
@@ -176,14 +175,10 @@ def rational_multiplicities(n: int, table: S1Table | None = None):
     i = twist(n, table)
     if i is None:
         return RationalSplit(q, Symmetry.NOT_APPLICABLE, None)
-    coeffs = q.as_list()
     deg = 10 + i
-    mirrored = [0] * (deg + 1)
-    for j, c in enumerate(coeffs):
-        if j > deg:
-            raise ArithmeticError(f"twisted symmetry degree exceeded at n={n}")
-        mirrored[deg - j] = c
-    if _poly.trim(mirrored) != _poly.trim(coeffs):
+    if any(j > deg for j in q.coeffs):
+        raise ArithmeticError(f"twisted symmetry degree exceeded at n={n}")
+    if any(q.coeffs.get(deg - j, 0) != c for j, c in q.coeffs.items()):
         raise ArithmeticError(f"duality symmetry l_({deg}-j) = l_j fails at n={n}")
     return RationalSplit(q, Symmetry.SYMMETRIC, i)
 

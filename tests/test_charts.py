@@ -13,7 +13,7 @@ from tmflevels.charts import (
     dss_chart,
     render,
 )
-from tmflevels.cohomology import UNKNOWN, rank_table
+from tmflevels.cohomology import UNKNOWN, S1Table, rank_table
 from tmflevels.duality import duality_scan
 
 FIGURE_RANKS = [1, 12, 33, 55, 77, 99]
@@ -103,6 +103,38 @@ def test_anderson_symmetry_n9_fails_everywhere():
 def test_anderson_symmetry_unknown():
     ok, _ = anderson_symmetry_check(31, 1, (-10, 10))
     assert ok is UNKNOWN
+
+
+def anderson_symmetry_check_before(n, l, window, table=None):
+    """``anderson_symmetry_check`` with the stem lookup it kept apart from
+    ``dss_chart``'s: its oracle."""
+    def rank_at_stem(rt, stem):
+        if stem % 2 == 0:
+            return rt.h0_rank(stem // 2)
+        return rt.h1_rank((stem + 1) // 2)
+
+    lo, hi = window
+    rt = rank_table(n, (lo // 2, (hi + 1) // 2), table)
+    if rt.needs_s1 and (lo <= 1 <= hi or lo <= 2 <= hi):
+        return UNKNOWN, None
+    for m in range(lo, hi + 1):
+        if not (lo <= -m - l <= hi):
+            continue
+        if rank_at_stem(rt, m) != rank_at_stem(rt, -m - l):
+            return False, m
+    return True, None
+
+
+# the empty user table leaves every level above 4 without s1
+@pytest.mark.parametrize("table", [None, S1Table()], ids=["builtin", "empty-user-table"])
+def test_anderson_symmetry_check_matches_its_lookup_before(table):
+    # windows with stems 1 and 2, with one of them, and with neither
+    windows = ((-30, 30), (-12, 1), (2, 12), (-30, 0), (3, 30))
+    for n in range(1, 101):
+        for window in windows:
+            for l in range(-30, 31):
+                assert anderson_symmetry_check(n, l, window, table) == \
+                    anderson_symmetry_check_before(n, l, window, table), (n, l, window)
 
 
 def test_symmetry_shift_unique_per_self_dual_level():

@@ -459,6 +459,12 @@ EXTREME_ARGV = {
     # one sum per residue: the largest modulus, and the next one
     "split-mod-at-the-bound": (["split", "--n", "5", "--prime", "2", "--mod", "1000000"], 0),
     "split-mod-over": (["split", "--n", "5", "--prime", "2", "--mod", "1000001"], 1),
+    # stacky levels at the stem budget: each rank a count of the solutions of
+    # a*i + b*j = k, weights up to 5,000
+    "chart-stacky-negative-at-the-budget": (
+        ["chart", "--n", "4", "--range", "-9999..0", "--format", "svg"], 0,
+    ),
+    "chart-stacky-positive-at-the-budget": (["chart", "--n", "3", "--range", "0..9999"], 0),
 }
 
 

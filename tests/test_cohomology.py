@@ -17,7 +17,7 @@ from tmflevels.cohomology import (
     s1,
     stacky_h0,
 )
-from tmflevels.levels import curve_invariants
+from tmflevels.levels import STACKY_WEIGHTS, curve_invariants
 
 
 def expand(h, order):
@@ -92,6 +92,11 @@ def test_rank_table_stacky_n1():
         assert rt.h0[k] == count
     assert rt.h1[-10] == rt.h0[0] == 1  # the class dual to 1, at stem -21
     assert rt.h1[0] == 0
+
+
+def test_rank_table_of_an_empty_window_is_empty():
+    for n in (3, 23, 31):
+        assert rank_table(n, (3, 1)) == (n, (3, 1), {}, {}, False)
 
 
 def test_rank_table_n7():
@@ -181,6 +186,21 @@ def test_stacky_h0_oracle():
     for k in range(0, 30):
         brute = sum(1 for i in range(31) for j in range(31) if i + 3 * j == k)
         assert stacky_h0((1, 3), k) == brute
+
+
+def stacky_h0_enumerated(weights, k):
+    """The solutions of a*i + b*j = k enumerated one j at a time, as
+    ``stacky_h0`` found them before it counted them: its oracle."""
+    a, b = weights
+    return sum(1 for j in range(max(0, k // b) + 1) if (k - b * j) >= 0 and (k - b * j) % a == 0)
+
+
+@pytest.mark.parametrize("weights", [*STACKY_WEIGHTS.values(), (3, 5), (6, 4), (2, 2)],
+                         ids=lambda w: f"{w[0]}-{w[1]}")
+def test_stacky_h0_counts_what_enumeration_and_the_series_find(weights):
+    counted = [stacky_h0(weights, k) for k in range(-200, 6001)]
+    assert counted == [stacky_h0_enumerated(weights, k) for k in range(-200, 6001)]
+    assert counted[200:] == series_of_quotient([1], weights, 6000)
 
 
 def test_hilbert_series_n5():

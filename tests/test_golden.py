@@ -103,13 +103,11 @@ OWNERS = {
 # The functions and methods of ``src/tmflevels`` that no golden case calls:
 # (name, owner, what it is).
 LIBRARY_API = (
-    ("charts._rank_at_stem", "item 4", "anderson_symmetry_check's rank lookup"),
     ("charts.anderson_symmetry_check", "item 4", "rank pi_m = rank pi_{-m-l} over a window"),
     ("duality.degree_equality_via_ratios", "item 4", "degreecomp_solutions from ratio_table"),
     ("duality.degreecomp_solutions", "item 4", "the levels with f(n) = 12 g(n)"),
     ("duality.hom_dual_shift", "item 4", "the Hom(Tmf_1(3), -) suspension shifts"),
     ("duality.ratio_table", "item 4", "exact g(p^k)/f(p^k), the multiplicative cross-check"),
-    ("splitting.ShiftPolynomial.as_list", "item 4", "rational_multiplicities' coefficients"),
     ("splitting.ShiftPolynomial.degree", "item 4", "the top shift of a splitting"),
     ("splitting.c2_descent_applicable", "item 4", "whether the descent to Gamma0 applies"),
     ("splitting.rational_multiplicities", "item 4", "omega-power multiplicities, l_{10+i-j} = l_j"),
@@ -142,6 +140,7 @@ LIBRARY_API = (
     ("hfpss_api.transfer_check", "public API", "mod-(2, v_1, .., v_i) injectivity of a ring map"),
     ("hfpss_api.v_chain_check", "public API", "differentials past the v-chain vanish"),
     ("hfpss_api.weight_basis", "public API", "the monomials of one weight"),
+    ("splitting.ShiftPolynomial.as_list", "public API", "Q(t)'s coefficients as a dense list"),
     ("cohomology._Unknown.__bool__", "safety", "refuses to read UNKNOWN as a truth value"),
     ("equivariant.FiniteAbelian._make", "safety", "_replace through the checks of __new__"),
     ("hfpss.RingSpec._make", "safety", "_replace through the checks of __new__"),

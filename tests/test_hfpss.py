@@ -493,6 +493,9 @@ def test_strongly_even_window_error():
     chart = compute_einfty(H1, Window(4, 4, 4), STRATEGY_CLOSED)
     with pytest.raises(ValueError):
         is_strongly_even(chart, (-8, 8))
+    for c, d in ((5, 0), (0, -5)):
+        with pytest.raises(ValueError, match=rf"^degree \({c},{d}\) outside the computed window$"):
+            chart.at(c, d)
 
 
 def test_a_multiplication_above_line():
@@ -555,6 +558,17 @@ def test_transfer_check_needs_distinct_images_that_do_not_die():
     # a1 is the only monomial of positive weight up to 1, and it maps to 0 mod 2
     out = transfer_check(H2P, H2L, {"a1": (2, (1, 0)), "a3": (1, (0, 1))}, max_weight=1)
     assert out[0] is False
+
+
+def test_transfer_check_refuses_a_malformed_map():
+    good = {"a1": (1, (1, 0)), "a3": (1, (0, 1))}
+    for gen_map, message in (
+        ({"a1": good["a1"]}, "no image for generator a3"),
+        ({**good, "a3": (1, (0, 1, 0))}, "image exponent tuple has wrong arity"),
+        ({**good, "a3": (1, (-1, 1))}, "negative exponent on non-invertible a1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            transfer_check(H2P, H2P, gen_map, max_weight=2)
 
 
 def test_v_chain_check_presets():
@@ -1192,10 +1206,18 @@ def test_render_json_of_a_flat_window_peaks_under_five_times_its_output():
         assert peak <= 5 * len(text), (window, peak, len(text))
 
 
+# ring_custom windows the ascii writer fills over several blocks of
+# _ASCII_BLOCK cells: one column of three blocks, three columns of four blocks,
+# and one row longer than a block, its axis labels written in two blocks
+MULTI_BLOCK_WINDOWS = (Window(0, 9000, 0), Window(1, 5000, 0), Window(4500, 0, 0))
+
+
 def test_render_ascii_cells_sum_the_classes_by_group():
     """Each row is rebuilt cell by cell from ``chart.at``; every cell is
-    centered in 9 columns, or in one more than the longest cell."""
-    for chart in (*writer_charts(), *DOCTORED):
+    centered in 9 columns, or in one more than the longest cell, and so is
+    each axis label below them."""
+    multi_block = (compute_einfty(CUSTOM, w, STRATEGY_CLOSED) for w in MULTI_BLOCK_WINDOWS)
+    for chart in (*writer_charts(), *DOCTORED, *multi_block):
         w = chart.window
         lines = render_ascii(chart).split("\n")
         assert len(lines) == 2 * w.d + 4 and lines[-1] == ""
@@ -1211,6 +1233,8 @@ def test_render_ascii_cells_sum_the_classes_by_group():
         width = max(9, 1 + max(len(cell) for _, cells in grid for cell in cells))
         for row, (d, cells) in zip(lines, grid):
             assert row == f"{d:>4} |" + "".join(cell.center(width) for cell in cells), (chart.ring, w, d)
+        assert lines[-3:-1] == ["     +" + "-" * ((2 * w.c + 1) * width), "      " + "".join(
+            str(c).center(width) for c in range(-w.c, w.c + 1))], (chart.ring, w)
 
 
 def test_render_ascii_columns_line_up_with_their_axis_labels():

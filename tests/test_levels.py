@@ -6,7 +6,9 @@ from math import gcd
 import pytest
 
 from tmflevels import levels
+from tmflevels.cohomology import s1
 from tmflevels.duality import twist
+from tmflevels.equivariant import cyclic_full_split
 from tmflevels.levels import (
     CurveInvariants,
     Kind,
@@ -20,6 +22,7 @@ from tmflevels.levels import (
     is_tame,
     stacky_data,
 )
+from tmflevels.splitting import rational_multiplicities
 
 
 def brute_phi(n):
@@ -171,8 +174,20 @@ def test_is_tame_intermediate():
     # index-2 subgroup of (Z/7)^x: squares {1, 2, 4}; index 3, gcd(6,3)=3
     spec = LevelSpec(7, Kind.INTERMEDIATE, (1, 2, 4))
     assert spec.index_over_gamma1 == 3
+    assert LevelSpec(7, Kind.GAMMA1).index_over_gamma1 == 1
     assert is_tame(spec, 2)
     assert not is_tame(spec, 3)
+
+
+@pytest.mark.parametrize("refuses", [
+    levels.factorize, euler_phi, curve_invariants, s1, twist, rational_multiplicities,
+    lambda n: cyclic_full_split(n, 5),
+], ids=["factorize", "euler_phi", "curve_invariants", "s1", "twist",
+        "rational_multiplicities", "cyclic_full_split"])
+def test_levels_below_one_are_refused(refuses):
+    for n in (0, -7):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            refuses(n)
 
 
 def test_level_spec_validation():

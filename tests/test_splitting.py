@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from tmflevels import splitting
 from tmflevels._poly import series_of_quotient, trim
 from tmflevels.cohomology import UNKNOWN, S1Table, builtin_s1_table, hilbert_series, load_s1_table
 from tmflevels.levels import curve_invariants, euler_phi
@@ -227,6 +228,44 @@ def test_rational_n9_no_twist():
     assert r.poly.as_list() != r.poly.as_list()[::-1]
 
 
+def mirror_verdict_before(coeffs, deg):
+    """The check l_(deg - j) = l_j that ``rational_multiplicities`` made on
+    padded lists before it read the coefficients directly: its oracle."""
+    dense = ShiftPolynomial(Base.RATIONAL, coeffs).as_list()
+    mirrored = [0] * (deg + 1)
+    for j, c in enumerate(dense):
+        if j > deg:
+            return "degree exceeded"
+        mirrored[deg - j] = c
+    return "symmetric" if trim(mirrored) == trim(dense) else "symmetry fails"
+
+
+def test_rational_mirror_check_on_doctored_coefficients(monkeypatch):
+    """n = 23 has twist 1, so its shifts must mirror about 11.  Doctored
+    shifts, some mirrored, some with zero entries, get the verdicts of the
+    padded-list check, and each error keeps its message."""
+    doctored = {}
+    monkeypatch.setattr(splitting, "_divide",
+                        lambda *args: ShiftPolynomial(Base.RATIONAL, doctored))
+    messages = {"degree exceeded": "twisted symmetry degree exceeded at n=23",
+                "symmetry fails": "duality symmetry l_(11-j) = l_j fails at n=23"}
+    rng = random.Random(29)
+    seen = Counter()
+    for trial in range(400):
+        doctored = {j: rng.randrange(3) for j in rng.sample(range(14), rng.randrange(6))}
+        if trial % 2:
+            doctored.update({11 - j: c for j, c in doctored.items() if j <= 11})
+        verdict = mirror_verdict_before(doctored, 11)
+        seen[verdict] += 1
+        if verdict == "symmetric":
+            assert rational_multiplicities(23).poly.coeffs is doctored
+        else:
+            with pytest.raises(ArithmeticError) as exc:
+                rational_multiplicities(23)
+            assert str(exc.value) == messages[verdict], doctored
+    assert min(seen[v] for v in ("symmetric", *messages)) >= 20, seen
+
+
 def test_rational_symmetry_for_self_dual_levels():
     for n in (2, 3, 4, 5, 6, 7, 8, 11, 14, 15):
         r = rational_multiplicities(n)
@@ -348,6 +387,10 @@ def test_base_for_prime():
 
 def test_rational_unknown():
     assert rational_multiplicities(31) is UNKNOWN
+
+
+def test_no_shifts_as_a_list_is_empty():
+    assert ShiftPolynomial(Base.L2, {}).as_list() == []
 
 
 def test_rational_split_is_dataclass():
