@@ -38,15 +38,6 @@ def _weight_window_for_stems(lo: int, hi: int) -> tuple[int, int]:
     return (lo // 2, (hi + 1) // 2)
 
 
-def _stem_rank(rt, stem: int):
-    """(filtration, rank, part of the rank known without s1) at a stem, where
-    h0(k) sits at stem 2k and h1(k) at stem 2k - 1; the rank may be UNKNOWN."""
-    k = (stem + 1) // 2
-    if stem % 2:
-        return 1, rt.h1_rank(k), rt.h1.get(k, 0)
-    return 0, rt.h0_rank(k), rt.h0.get(k, 0)
-
-
 def dss_chart(n: int, stem_range: tuple[int, int], table: S1Table | None = None) -> Chart:
     """Rank chart of the collapsed descent spectral sequence on a stem interval.
 
@@ -63,7 +54,7 @@ def dss_chart(n: int, stem_range: tuple[int, int], table: S1Table | None = None)
     rt = rank_table(n, _weight_window_for_stems(lo, hi), table)
     entries = []
     for stem in range(lo, hi + 1):
-        filt, rank, known = _stem_rank(rt, stem)
+        filt, rank, known = rt.at_stem(stem)
         if rank is UNKNOWN:
             entries.append(ChartEntry(stem, filt, known, NEEDS_S1))
         elif rank > 0:
@@ -86,7 +77,7 @@ def anderson_symmetry_check(
     for m in range(lo, hi + 1):
         if not (lo <= -m - l <= hi):
             continue
-        if _stem_rank(rt, m)[1] != _stem_rank(rt, -m - l)[1]:
+        if rt.at_stem(m)[1] != rt.at_stem(-m - l)[1]:
             return False, m
     return True, None
 

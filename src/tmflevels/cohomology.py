@@ -136,15 +136,17 @@ class RankTable(NamedTuple):
     h1: dict[int, int]
     needs_s1: bool = False
 
-    def h0_rank(self, k: int):
+    def at_stem(self, stem: int):
+        """(filtration, rank, part of the rank known without s1) at a stem of
+        the descent chart: h0(k) sits at stem 2k, filtration 0, and h1(k) at
+        stem 2k - 1, filtration 1.  When ``needs_s1`` is set the rank at stems
+        1 and 2 is UNKNOWN, and its known part is the Eisenstein count at
+        stem 2 and 0 at stem 1.  A stem outside the window raises KeyError."""
+        filt, k = stem % 2, (stem + 1) // 2
         if self.needs_s1 and k == 1:
-            return UNKNOWN
-        return self.h0[k]
-
-    def h1_rank(self, k: int):
-        if self.needs_s1 and k == 1:
-            return UNKNOWN
-        return self.h1[k]
+            return filt, UNKNOWN, 0 if filt else self.h0[1]
+        rank = self.h1[k] if filt else self.h0[k]
+        return filt, rank, rank
 
 
 def stacky_h0(weights: tuple[int, int], k: int) -> int:
@@ -212,9 +214,8 @@ def hilbert_series(n: int, table: S1Table | None = None):
         return HilbertSeries((1,), STACKY_WEIGHTS[n])
     if s1(n, table) is UNKNOWN:  # the window below holds weight 1
         return UNKNOWN
-    rt = rank_table(n, (-2, 8), table)
-    dims = {k: rt.h0[k] for k in range(-2, 9)}
-    num = [dims[k] - 2 * dims[k - 1] + dims[k - 2] for k in range(0, 9)]
+    h0 = rank_table(n, (-2, 8), table).h0
+    num = [h0[k] - 2 * h0[k - 1] + h0[k - 2] for k in range(0, 9)]
     for k in range(4, 9):
         if num[k] != 0:
             raise ArithmeticError(f"Hilbert numerator not supported on 0..3 at n={n}, k={k}")

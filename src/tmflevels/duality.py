@@ -50,7 +50,7 @@ def twist(n: int, table: S1Table | None = None) -> int | None:
         return None if r else q
     if inv.genus == 1:
         return 0
-    if dsum_f(n) != 12 * dsum_g(n):
+    if inv.deg_omega != 2 * inv.genus - 2:
         return None
     s = s1(n, table)
     if s is not UNKNOWN:
@@ -140,15 +140,16 @@ class DualityVerdict(NamedTuple):
 
 def verdict(n: int, table: S1Table | None = None) -> DualityVerdict:
     """Self-duality verdict: shift l = 1 - 2i and, for odd n >= 3, the
-    RO(C2) refinement 5 - m*rho with m = (5-l)/2."""
+    RO(C2) refinement 5 - m*rho with m = (5-l)/2.
+
+    The reason follows from the sign of the twist i, since
+    deg Omega^1 = 2g - 2 = i * deg(omega) with deg(omega) > 0: i < 0 is
+    genus 0 (every n <= 4 among them), i = 0 is genus 1, and i = 1 is the
+    degree equality with s1 = 1."""
     i = twist(n, table)
     if i is None:
         return DualityVerdict(n, None, False, None, None, REASON_NONE)
-    if n <= 4:
-        reason = REASON_GENUS0
-    else:
-        genus = curve_invariants(n).genus
-        reason = REASON_GENUS0 if genus == 0 else REASON_GENUS1 if genus == 1 else REASON_DEGREE_S1
+    reason = REASON_GENUS0 if i < 0 else REASON_GENUS1 if i == 0 else REASON_DEGREE_S1
     l = 1 - 2 * i
     c2 = None
     if n >= 3 and n % 2 == 1:

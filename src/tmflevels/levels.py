@@ -17,7 +17,6 @@ from typing import NamedTuple
 class Kind(Enum):
     GAMMA1 = "Gamma1"
     GAMMA0 = "Gamma0"
-    GAMMA_FULL = "GammaFull"
     INTERMEDIATE = "Intermediate"
 
 
@@ -168,8 +167,6 @@ class LevelSpec(_LevelFields):
                 for b in subgroup:
                     if (a * b) % n not in subgroup:
                         raise ValueError("residue list not closed under multiplication")
-            if euler_phi(n) % len(subgroup) != 0:
-                raise ValueError("subgroup order must divide phi(n)")
         elif subgroup is not None:
             raise ValueError("residue list only allowed for INTERMEDIATE kind")
         return super().__new__(cls, n, kind, subgroup)

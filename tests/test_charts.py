@@ -65,11 +65,16 @@ def test_chart_rank_coherence():
             assert e.filtration == e.stem % 2
         entries = by_place(chart)
         for m in range(-8, 9):
-            k = m // 2 if m % 2 == 0 else (m + 1) // 2
-            expected = rt.h0_rank(k) if m % 2 == 0 else rt.h1_rank(k)
+            k = (m + 1) // 2
+            # without s1 both weight-1 spots are unknown; stem 2 still knows
+            # the Eisenstein part of h0(1)
+            if rt.needs_s1 and k == 1:
+                expected, known = UNKNOWN, 0 if m % 2 else rt.h0[1]
+            else:
+                expected = rt.h0[k] if m % 2 == 0 else rt.h1[k]
             e = entries.get((m, m % 2))
             if expected is UNKNOWN:
-                assert e.marker == "needs_s1"
+                assert (e.rank, e.marker) == (known, "needs_s1")
             elif expected:
                 assert (e.rank, e.marker) == (expected, "exact")
             else:
@@ -109,9 +114,10 @@ def anderson_symmetry_check_before(n, l, window, table=None):
     """``anderson_symmetry_check`` with the stem lookup it kept apart from
     ``dss_chart``'s: its oracle."""
     def rank_at_stem(rt, stem):
-        if stem % 2 == 0:
-            return rt.h0_rank(stem // 2)
-        return rt.h1_rank((stem + 1) // 2)
+        k = (stem + 1) // 2
+        if rt.needs_s1 and k == 1:
+            return UNKNOWN
+        return rt.h0[k] if stem % 2 == 0 else rt.h1[k]
 
     lo, hi = window
     rt = rank_table(n, (lo // 2, (hi + 1) // 2), table)

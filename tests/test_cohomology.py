@@ -115,11 +115,20 @@ def test_rank_table_clamp_n5():
 def test_rank_table_unknown_weight1():
     rt = rank_table(31, (0, 2))
     assert rt.needs_s1
-    assert rt.h0_rank(1) is UNKNOWN
-    assert rt.h1_rank(1) is UNKNOWN
-    assert rt.h0_rank(2) == 2 * curve_invariants(31).deg_omega + 1 - curve_invariants(31).genus
+    inv = curve_invariants(31)
+    # h0(1) at stem 2 keeps its Eisenstein part; h1(1) at stem 1 keeps none
+    assert rt.at_stem(2) == (0, UNKNOWN, inv.cusps // 2)
+    assert rt.at_stem(1) == (1, UNKNOWN, 0)
+    h0_2 = 2 * inv.deg_omega + 1 - inv.genus
+    assert rt.at_stem(4) == (0, h0_2, h0_2)
+    assert rt.at_stem(3) == (1, 0, 0)
+    assert rt.at_stem(-1) == (1, inv.genus, inv.genus)
     with pytest.raises(TypeError):
-        bool(rt.h0_rank(1))  # Unknown must not act as a boolean
+        bool(rt.at_stem(2)[1])  # Unknown must not act as a boolean
+    # weights 0..2 hold stems -1..4; a stem outside them is not in the table
+    for stem in (-3, -2, 5, 6):
+        with pytest.raises(KeyError):
+            rt.at_stem(stem)
 
 
 def test_riemann_roch_identity():
@@ -127,7 +136,7 @@ def test_riemann_roch_identity():
         inv = curve_invariants(n)
         rt = rank_table(n, (-20, 20))
         for k in range(-20, 21):
-            h0, h1 = rt.h0_rank(k), rt.h1_rank(k)
+            h0, h1 = rt.at_stem(2 * k)[1], rt.at_stem(2 * k - 1)[1]
             if h0 is UNKNOWN or h1 is UNKNOWN:
                 continue
             assert h0 - h1 == k * inv.deg_omega + 1 - inv.genus, (n, k)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tmflevels.charts import anderson_symmetry_check
-from tmflevels.cohomology import UNKNOWN, load_s1_table
+from tmflevels.cohomology import UNKNOWN, S1Table, load_s1_table
 from tmflevels.duality import (
     HOM_DUAL_COMPACTIFIED,
     HOM_DUAL_PERIODIC,
@@ -20,7 +20,7 @@ from tmflevels.duality import (
     twist,
     verdict,
 )
-from tmflevels.levels import dsum_f, dsum_g, is_prime
+from tmflevels.levels import curve_invariants, dsum_f, dsum_g, is_prime
 
 DUALITY_TABLE = [
     (1, 21), (2, 13), (3, 9), (4, 7), (5, 5), (6, 5), (7, 3), (8, 3),
@@ -172,6 +172,59 @@ def test_verdict_reasons():
     assert verdict(23).reason == "degree_equality_plus_s1"
     assert verdict(9).reason == "none"
     assert verdict(2).reason == "genus0_degree"
+
+
+def reason_by_genus(n, table=None):
+    """The reason ``verdict`` gave when it named it from the genus of X_1(n):
+    its oracle."""
+    if twist(n, table) is None:
+        return "none"
+    if n <= 4:
+        return "genus0_degree"
+    genus = curve_invariants(n).genus
+    return "genus0_degree" if genus == 0 else "genus1" if genus == 1 else \
+        "degree_equality_plus_s1"
+
+
+# (levels of a user table with s1 = 1, or None for the builtin table; the
+# levels whose reason is the degree equality)
+VERDICT_TABLES = {
+    "builtin": (None, {23}),
+    # every level above 4 without s1: twist's builtin knowledge keeps 23
+    "empty-user-table": ((), {23}),
+    # s1 = 1 everywhere, so twist's degree test alone picks the levels: the
+    # six solutions of f(n) = 12 g(n)
+    "s1-one-user-table": (range(1, 3001), {23, 32, 33, 35, 40, 42}),
+}
+
+
+@pytest.mark.parametrize("name", VERDICT_TABLES)
+def test_verdict_reason_matches_the_genus(name):
+    ones, degree_equality = VERDICT_TABLES[name]
+    table = None if ones is None else S1Table(dict.fromkeys(ones, 1))
+    reasons = {}
+    for n in sorted({*range(1, 3001), *self_dual_candidates()}):
+        reasons[n] = verdict(n, table).reason
+        assert reasons[n] == reason_by_genus(n, table), n
+    assert {n for n, r in reasons.items() if r == "degree_equality_plus_s1"} == degree_equality
+
+
+def test_verdict_derives_the_curve_invariants_once(monkeypatch):
+    # the reason comes from the twist, so the curve is read once, in twist
+    import tmflevels.duality as duality
+
+    calls = []
+    real = duality.curve_invariants
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(duality, "curve_invariants", counting)
+    for n in range(1, 61):
+        calls.clear()
+        verdict(n)
+        assert calls == ([] if n <= 4 else [n]), n
 
 
 def test_verdict_shift_consistency_with_symmetry_check():

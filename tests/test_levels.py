@@ -164,7 +164,6 @@ def test_is_tame():
     assert not is_tame(LevelSpec(7, Kind.GAMMA0), 2)  # gcd(6, 6) = 6
     assert not is_tame(LevelSpec(5, Kind.GAMMA0), 5)  # 5 | 5
     assert is_tame(LevelSpec(7, Kind.GAMMA0), 5)
-    assert is_tame(LevelSpec(5, Kind.GAMMA_FULL), 2)
     assert not is_tame(LevelSpec(1, Kind.GAMMA1), 2)
     with pytest.raises(ValueError):
         is_tame(LevelSpec(5, Kind.GAMMA1), 4)
@@ -177,6 +176,25 @@ def test_is_tame_intermediate():
     assert LevelSpec(7, Kind.GAMMA1).index_over_gamma1 == 1
     assert is_tame(spec, 2)
     assert not is_tame(spec, 3)
+
+
+def test_accepted_residue_lists_are_subgroups():
+    # LevelSpec keeps unit residue lists that contain 1 and are closed under
+    # multiplication: subgroups of (Z/n)^x, whose order divides phi(n) by
+    # Lagrange.  Every list of units containing 1, for n = 2..16.
+    tried = 0
+    for n in range(2, 17):
+        units = [r for r in range(2, n) if gcd(r, n) == 1]
+        for mask in range(1 << len(units)):
+            subgroup = (1, *(r for i, r in enumerate(units) if mask >> i & 1))
+            tried += 1
+            try:
+                spec = LevelSpec(n, Kind.INTERMEDIATE, subgroup)
+            except ValueError as err:
+                assert str(err) == "residue list not closed under multiplication"
+                continue
+            assert euler_phi(n) % spec.index_over_gamma1 == 0, (n, subgroup)
+    assert tried == 2951
 
 
 @pytest.mark.parametrize("refuses", [
